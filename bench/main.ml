@@ -40,7 +40,6 @@ let experiments =
     ("e18", Experiments.e18);
     ("e19", Experiments.e19);
     ("e20", Micro.e20);
-    ("e21", Micro.e21);
     ("e22", Qos_bench.e22);
     ("micro", Micro.run);
     ("sim_core", Micro.sim_core);
@@ -54,36 +53,27 @@ let wall () =
     ()
 
 let usage () =
-  Printf.eprintf "usage: main.exe [--domains N] [--shards K] [experiment ...]\navailable: %s\n"
+  Printf.eprintf "usage: main.exe [--domains N] [experiment ...]\navailable: %s\n"
     (String.concat " " (List.map fst experiments));
   exit 2
 
-(* [--domains N] / [--domains=N] and [--shards K] / [--shards=K] anywhere
-   in argv; the rest are experiment names. *)
+(* [--domains N] / [--domains=N] anywhere in argv; the rest are experiment
+   names. *)
 let parse_args args =
-  let rec go domains shards names = function
-    | [] -> (domains, shards, List.rev names)
+  let rec go domains names = function
+    | [] -> (domains, List.rev names)
     | "--domains" :: v :: rest -> (
       match int_of_string_opt v with
-      | Some d when d >= 1 -> go (Some d) shards names rest
+      | Some d when d >= 1 -> go (Some d) names rest
       | Some _ | None -> usage ())
     | [ "--domains" ] -> usage ()
     | arg :: rest when String.length arg > 10 && String.sub arg 0 10 = "--domains=" -> (
       match int_of_string_opt (String.sub arg 10 (String.length arg - 10)) with
-      | Some d when d >= 1 -> go (Some d) shards names rest
+      | Some d when d >= 1 -> go (Some d) names rest
       | Some _ | None -> usage ())
-    | "--shards" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some k when k >= 1 -> go domains (Some k) names rest
-      | Some _ | None -> usage ())
-    | [ "--shards" ] -> usage ()
-    | arg :: rest when String.length arg > 9 && String.sub arg 0 9 = "--shards=" -> (
-      match int_of_string_opt (String.sub arg 9 (String.length arg - 9)) with
-      | Some k when k >= 1 -> go domains (Some k) names rest
-      | Some _ | None -> usage ())
-    | arg :: rest -> go domains shards (arg :: names) rest
+    | arg :: rest -> go domains (arg :: names) rest
   in
-  go None None [] args
+  go None [] args
 
 (* Per-experiment timing plus the pool's own busy/wall split:
    [busy_s /. pool_wall_s] is the achieved speedup of the pooled sections
@@ -114,12 +104,8 @@ let emit_json ~domains ~total_s timings =
   close_out oc
 
 let () =
-  let domains_arg, shards_arg, requested = parse_args (List.tl (Array.to_list Sys.argv)) in
+  let domains_arg, requested = parse_args (List.tl (Array.to_list Sys.argv)) in
   Option.iter Exec.Pool.set_default_domains domains_arg;
-  (* [--shards K] (or ECFD_SHARDS, read by Shard.default_shards) selects
-     the engine back-end every experiment builds on; stdout is
-     byte-identical at every K, so only stderr mentions the choice. *)
-  Option.iter Sim.Shard.set_default_shards shards_arg;
   let domains = Exec.Pool.default_domains () in
   let requested = match requested with [] -> List.map fst experiments | _ -> requested in
   List.iter
@@ -131,8 +117,7 @@ let () =
     requested;
   (* The domain count goes to stderr only: stdout must stay byte-identical
      across --domains values. *)
-  Printf.eprintf "ecfd-bench: %d domain(s), %d shard(s)\n%!" domains
-    (Sim.Shard.default_shards ());
+  Printf.eprintf "ecfd-bench: %d domain(s)\n%!" domains;
   Format.printf
     "Reproduction harness for \"Eventually consistent failure detectors\" (JPDC 65, 2005)@.";
   Format.printf "Experiments: %s@." (String.concat " " requested);

@@ -5,9 +5,8 @@
    mistake-rate and availability figures, and Obs.Rollup renders the whole
    sweep as BENCH_qos.json (schema docs/schemas/qos.schema.json).  Every
    number here is a function of the trace alone — no wall clock — so both
-   the table and the JSON are byte-identical at every --domains and
-   --shards value, which is exactly what CI checks.  Compare two runs with
-   `ecfd bench-diff old/BENCH_qos.json BENCH_qos.json`. *)
+   the table and the JSON are byte-identical at every --domains value.
+   Compare two runs with `ecfd bench-diff old/BENCH_qos.json BENCH_qos.json`. *)
 
 let json_file = "BENCH_qos.json"
 

@@ -29,20 +29,14 @@ let default_component = "rb"
 let deliver t p ~origin ~seq body =
   let st = t.states.(p) in
   st.delivered <- st.delivered + 1;
-  (* [instance_spans] is shared across pids, and under the sharded engine
-     handlers for different pids run on different domains — so the
-     pending-set update (and the span end it may trigger) goes through
-     [Engine.deferred]: it runs on the coordinating domain in exact
-     sequential order, never racing across shards. *)
-  Sim.Engine.deferred t.engine (fun () ->
-      match Hashtbl.find_opt t.instance_spans (origin, seq) with
-      | Some (span, pending) ->
-        pending := Sim.Pid.Set.remove p !pending;
-        if Sim.Pid.Set.is_empty !pending then begin
-          Sim.Engine.end_span t.engine span;
-          Hashtbl.remove t.instance_spans (origin, seq)
-        end
-      | None -> ());
+  (match Hashtbl.find_opt t.instance_spans (origin, seq) with
+  | Some (span, pending) ->
+    pending := Sim.Pid.Set.remove p !pending;
+    if Sim.Pid.Set.is_empty !pending then begin
+      Sim.Engine.end_span t.engine span;
+      Hashtbl.remove t.instance_spans (origin, seq)
+    end
+  | None -> ());
   List.iter (fun f -> f ~origin body) (List.rev st.rev_subscribers)
 
 let create ?(component = default_component) ?(transport = `Engine) engine =
@@ -96,13 +90,10 @@ let rbroadcast t ~src ~tag body =
   st.next_seq <- seq + 1;
   Obs.Registry.incr t.m_broadcasts;
   (* The instance span runs from the broadcast to the last R-delivery among
-     the processes alive right now; a crash mid-broadcast leaves it open.
-     Registration is deferred like the updates in [deliver]: the shared
-     table is only ever touched on the coordinating domain. *)
+     the processes alive right now; a crash mid-broadcast leaves it open. *)
   let span = Sim.Engine.begin_span t.engine src ~component:t.component ~name:"rb-instance" in
-  Sim.Engine.deferred t.engine (fun () ->
-      let pending = ref (Sim.Pid.set_of_list (Sim.Engine.alive_processes t.engine)) in
-      Hashtbl.replace t.instance_spans (src, seq) (span, pending));
+  let pending = ref (Sim.Pid.set_of_list (Sim.Engine.alive_processes t.engine)) in
+  Hashtbl.replace t.instance_spans (src, seq) (span, pending);
   (* The self-copy goes through the local delivery path (a self-send), so
      the originator R-delivers its own message like everybody else. *)
   t.send_one ~src ~dst:src ~tag (Rb { origin = src; seq; tag; body })

@@ -73,9 +73,3 @@ type metrics = {
 
 val reset_metrics : unit -> unit
 val metrics : unit -> metrics
-
-val wall : unit -> float
-(** Wall-clock seconds (host time, not simulated time) — the clock behind
-    {!metrics}, exported for profilers that time pooled work.  Never feed
-    the result back into simulated state: wall time is ambient
-    nondeterminism and would break the byte-identity contract. *)

@@ -1,10 +1,8 @@
 (* Every instrument carries its registry's shared [hook] cell so updates
-   can be intercepted without a per-update registry lookup: the sharded
-   engine diverts updates made inside a parallel window into the recording
-   shard's log and re-applies them (via {!apply}) in global order at the
-   window barrier.  With no hook installed — the sequential engine, and
-   the sharded engine outside windows — every update is the same direct
-   field mutation as before, still allocation-free. *)
+   can be intercepted without a per-update registry lookup: an observer
+   may count them, or capture them and re-apply them later (via
+   {!apply}).  With no hook installed every update is a direct field
+   mutation, allocation-free. *)
 type counter = { mutable count : int; c_hook : hook }
 and gauge = { mutable level : int; g_hook : hook }
 
@@ -115,10 +113,9 @@ let observe_direct h v =
   h.h_sum <- h.h_sum + v;
   if v > h.h_max then h.h_max <- v
 
-(* The hooked-capture branches allocate the [op] box by design (a window
-   capture is buffered work); the sequential [None] branches stay on the
-   direct allocation-free mutations, which is what the engine's
-   [@alloc.zero] roots actually execute. *)
+(* The hooked branches allocate the [op] box by design; the [None]
+   branches stay on the direct allocation-free mutations, which is what
+   the engine's [@alloc.zero] roots actually execute. *)
 
 let incr c =
   match c.c_hook.hook with
@@ -126,8 +123,8 @@ let incr c =
   | Some f ->
     (if not (f (Op_incr c)) then incr_direct c)
     [@alloc.allow extern
-        "sharded-window capture: op boxing happens only with a hook installed, i.e. \
-         inside a parallel window, never on the sequential hot path"]
+        "observer capture: op boxing happens only with a hook installed, never on \
+         the unobserved hot path"]
 
 let add c k =
   match c.c_hook.hook with
@@ -147,8 +144,8 @@ let set_max g v =
   | Some f ->
     (if not (f (Op_set_max (g, v))) then set_max_direct g v)
     [@alloc.allow extern
-        "sharded-window capture: op boxing happens only with a hook installed, i.e. \
-         inside a parallel window, never on the sequential hot path"]
+        "observer capture: op boxing happens only with a hook installed, never on \
+         the unobserved hot path"]
 
 let observe h v =
   match h.h_hook.hook with

@@ -55,11 +55,10 @@ val observe : histogram -> int -> unit
 
 (** {1 Update interception}
 
-    Used by the sharded simulation engine: updates made inside a parallel
-    window are captured as {!op} values by a hook installed with
-    {!set_hook}, then re-applied with {!apply} in the global deterministic
-    order at the window barrier.  With no hook installed every update is a
-    direct allocation-free field mutation, exactly as before. *)
+    A hook installed with {!set_hook} sees every update as an {!op}
+    value: it may let the update through (counting it, say) or capture it
+    and re-apply it later with {!apply}.  With no hook installed every
+    update is a direct allocation-free field mutation. *)
 
 type op
 (** One captured update, closed over its instrument. *)
@@ -68,7 +67,7 @@ val set_hook : t -> (op -> bool) option -> unit
 (** Install (or clear) the capture hook shared by every instrument of this
     registry.  The hook returns [true] when it captured the op (the update
     is then deferred until {!apply}) and [false] to let the update apply
-    directly — the sharded engine declines outside parallel windows. *)
+    directly. *)
 
 val apply : op -> unit
 (** Apply a captured update, bypassing the hook. *)

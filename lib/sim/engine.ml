@@ -45,12 +45,6 @@ let no_callback () = ()
 
 type t = {
   n : int;
-  (* The sharded back-end, when the engine was created with more than
-     one shard ([None] means k = 1 and every operation below takes the
-     exact sequential code path — not a degenerate sharded one).  Set
-     once by [create]; mutable only because the back-end needs the
-     engine's metric handles, which exist after the record does. *)
-  mutable shards : Shard.state option;
   mutable now : Sim_time.t;
   queue : event_kind Event_queue.t;
   timer_wheel : Timer_wheel.t;
@@ -95,23 +89,11 @@ type t = {
    chaos and long protocol phases. *)
 let tick_buckets = [ 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024; 4096 ]
 
-let create ?(seed = 0) ?shards ~n ~link () =
+let create ?(seed = 0) ~n ~link () =
   if n < 1 then invalid_arg "Engine.create: n must be >= 1";
-  let k =
-    match shards with
-    | Some k ->
-      if k < 1 then invalid_arg "Engine.create: shards must be >= 1";
-      k
-    | None -> Shard.default_shards ()
-  in
-  (* More shards than processes would only add empty shards; clamp so
-     pid partitioning stays dense. *)
-  let k = Stdlib.min k n in
   let obs = Obs.Registry.create () in
-  let t =
   {
     n;
-    shards = None;
     now = Sim_time.zero;
     queue = Event_queue.create ();
     timer_wheel = Timer_wheel.create ();
@@ -145,29 +127,10 @@ let create ?(seed = 0) ?shards ~n ~link () =
     timer_armed = 0;
     timer_gen_floor = 0;
   }
-  in
-  if k > 1 then
-    t.shards <-
-      Some
-        (Shard.create ~k ~n ~link ~rng:t.rng ~alive:t.alive ~handlers:t.handlers
-           ~trace:t.trace ~stats:t.stats ~obs:t.obs
-           ~m_delivery_latency:t.m_delivery_latency ~m_span_duration:t.m_span_duration
-           ~m_queue_depth_hw:t.m_queue_depth_hw ~m_timer_residency_hw:t.m_timer_residency_hw
-           ~m_timer_set:t.m_timer_set ~m_timer_fired:t.m_timer_fired
-           ~m_timer_cancelled:t.m_timer_cancelled ~m_timer_orphaned:t.m_timer_orphaned ());
-  t
 
 let n t = t.n
-let now t = match t.shards with None -> t.now | Some st -> Shard.now st
-let shard_count t = match t.shards with None -> 1 | Some st -> Shard.k st
-
-let window_stats t =
-  match t.shards with
-  | None -> (0, 0, 0, 0)
-  | Some st ->
-    (Shard.windows st, Shard.null_windows st, Shard.direct_steps st, Shard.shard_windows st)
-let profiler_windows t =
-  match t.shards with None -> [] | Some st -> Shard.profile st
+let now t = t.now
+let shard_count _ = 1
 
 let trace t = t.trace
 let stats t = t.stats
@@ -187,7 +150,7 @@ let alive_processes t = List.filter (fun p -> t.alive.(p)) (Pid.all ~n:t.n)
    Timer events used to live in the same heap, so this sum equals the old
    single-queue length at every instant — the queue high-water mark is
    unchanged by the wheel split. *)
-let[@race.seq_root] note_event_depth t =
+let note_event_depth t =
   let depth = Event_queue.length t.queue + t.timer_live in
   Stats.note_queue_depth t.stats ~depth;
   Obs.Registry.set_max t.m_queue_depth_hw depth
@@ -198,20 +161,13 @@ let schedule_event t ~at kind =
   Event_queue.schedule t.queue ~at kind;
   note_event_depth t
 
-let[@race.seq_root] schedule_crash t p ~at =
+let schedule_crash t p ~at =
   check_pid t p;
-  match t.shards with
-  | Some st -> Shard.schedule_crash st p ~at
-  | None ->
-    if at < t.now then invalid_arg "Engine.schedule_crash: instant in the past";
-    schedule_event t ~at (Crash_now p)
+  if at < t.now then invalid_arg "Engine.schedule_crash: instant in the past";
+  schedule_event t ~at (Crash_now p)
 
 let register t ~component p handler =
   check_pid t p;
-  (match t.shards with
-  | Some st when Shard.in_window st ->
-    invalid_arg "Engine.register: forbidden inside a parallel window"
-  | _ -> ());
   let slots =
     match Hashtbl.find_opt t.handlers component with
     | Some slots -> slots
@@ -227,12 +183,9 @@ let register t ~component p handler =
          (Pid.to_string p))
   | None -> slots.(p) <- Some handler
 
-let[@race.seq_root] send t ~component ~tag ~src ~dst payload =
+let send t ~component ~tag ~src ~dst payload =
   check_pid t src;
   check_pid t dst;
-  match t.shards with
-  | Some st -> Shard.send st ~component ~tag ~src ~dst payload
-  | None ->
   if t.alive.(src) then begin
     if Pid.equal src dst then
       (* Local delivery: immediate, not a network message, not counted,
@@ -262,17 +215,11 @@ let send_to_all_others t ~component ~tag ~src payload =
 let send_to_all t ~component ~tag ~src payload =
   List.iter (fun dst -> send t ~component ~tag ~src ~dst payload) (Pid.all ~n:t.n)
 
-(* [tshard] is the owning shard id in sharded mode (0 sequentially):
-   slot/gen are shard-local there. *)
-type timer = { slot : int; gen : int; tshard : int }
+type timer = { slot : int; gen : int }
 
-let timer_residency t =
-  match t.shards with None -> t.timer_live | Some st -> Shard.timer_residency st
-
-let timer_table_capacity t =
-  match t.shards with None -> t.timer_next_slot | Some st -> Shard.timer_table_capacity st
-
-let timer_armed t = match t.shards with None -> t.timer_armed | Some st -> Shard.timer_armed st
+let timer_residency t = t.timer_live
+let timer_table_capacity t = t.timer_next_slot
+let timer_armed t = t.timer_armed
 
 let[@alloc.allow bulk
      "amortized free-list growth: doubles capacity, so per-event cost is O(1) \
@@ -357,17 +304,12 @@ let[@alloc.zero] arm_timer t p ~delay callback ctl =
   note_event_depth t;
   slot
 
-let[@race.seq_root] set_timer t p ~delay callback =
+let set_timer t p ~delay callback =
   check_pid t p;
-  match t.shards with
-  | Some st ->
-    let slot, gen, sid = Shard.set_timer st p ~delay callback in
-    { slot; gen; tshard = sid }
-  | None ->
-    let slot = arm_timer t p ~delay callback no_ctl in
-    { slot; gen = t.timer_gens.(slot); tshard = 0 }
+  let slot = arm_timer t p ~delay callback no_ctl in
+  { slot; gen = t.timer_gens.(slot) }
 
-let[@race.seq_root] cancel_slot t slot gen =
+let cancel_slot t slot gen =
   (* Stale handles (already fired, already cancelled, slot since reused)
      fail the generation or state check and are no-ops. *)
   if slot >= 0
@@ -384,16 +326,10 @@ let[@race.seq_root] cancel_slot t slot gen =
     Obs.Registry.incr t.m_timer_cancelled
   end
 
-let cancel_timer t { slot; gen; tshard } =
-  match t.shards with
-  | Some st -> Shard.cancel st ~sid:tshard ~slot ~gen
-  | None -> cancel_slot t slot gen
+let cancel_timer t { slot; gen } = cancel_slot t slot gen
 
-let[@race.seq_root] every t p ?phase ~period callback =
+let every t p ?phase ~period callback =
   check_pid t p;
-  match t.shards with
-  | Some st -> Shard.every st p ?phase ~period callback
-  | None ->
   if period <= 0 then invalid_arg "Engine.every: period must be positive";
   let phase = match phase with Some d -> d | None -> period in
   let ctl = { p_slot = 0; p_gen = 0; p_period = period; p_stopped = false } in
@@ -408,22 +344,14 @@ let[@race.seq_root] every t p ?phase ~period callback =
       cancel_slot t ctl.p_slot ctl.p_gen
     end
 
-let[@race.seq_root] at t instant callback =
-  match t.shards with
-  | Some st -> Shard.at st instant callback
-  | None ->
-    if instant < t.now then invalid_arg "Engine.at: instant in the past";
-    schedule_event t ~at:instant (Harness callback)
+let at t instant callback =
+  if instant < t.now then invalid_arg "Engine.at: instant in the past";
+  schedule_event t ~at:instant (Harness callback)
 
-(* [now t] (not [t.now]) in the record calls below: in sharded mode it is
-   the executing shard's clock, and the trace sink routes the body into
-   that shard's op log for barrier replay. *)
-let[@race.seq_root] note t p ~tag detail = Trace.record t.trace (Note { at = now t; pid = p; tag; detail })
+let note t p ~tag detail = Trace.record t.trace (Note { at = t.now; pid = p; tag; detail })
 
 type span = {
-  mutable span_id : int;
-      (* Mutable for sharded in-window spans: the globally ordered id is
-         assigned at barrier replay, after this record exists. *)
+  span_id : int;
   span_pid : Pid.t;
   span_component : string;
   span_name : string;
@@ -431,71 +359,26 @@ type span = {
   mutable closed : bool;
 }
 
-let[@race.seq_root] begin_span t p ~component ~name =
+let begin_span t p ~component ~name =
   check_pid t p;
-  match t.shards with
-  | None ->
-    let span_id = t.next_span in
-    t.next_span <- span_id + 1;
-    Trace.record t.trace
-      (Span_begin { at = t.now; pid = p; component; span = span_id; name });
-    { span_id; span_pid = p; span_component = component; span_name = name; opened_at = t.now;
-      closed = false }
-  | Some st ->
-    let at = Shard.now st in
-    let s =
-      { span_id = -1; span_pid = p; span_component = component; span_name = name;
-        opened_at = at; closed = false }
-    in
-    let log () =
-      (* Runs at the global point the span opened: the id allocation and
-         the trace record land in exact sequential order. *)
-      let id = Shard.alloc_span st in
-      s.span_id <- id;
-      Trace.record t.trace (Span_begin { at; pid = p; component; span = id; name })
-    in
-    if Shard.in_window st then Shard.log_fn st log else log ();
-    s
+  let span_id = t.next_span in
+  t.next_span <- span_id + 1;
+  Trace.record t.trace (Span_begin { at = t.now; pid = p; component; span = span_id; name });
+  { span_id; span_pid = p; span_component = component; span_name = name; opened_at = t.now;
+    closed = false }
 
-let[@race.seq_root] end_span t s =
+let end_span t s =
   if not s.closed then begin
     s.closed <- true;
-    match t.shards with
-    | None ->
-      Trace.record t.trace
-        (Span_end
-           { at = t.now; pid = s.span_pid; component = s.span_component; span = s.span_id;
-             name = s.span_name });
-      Obs.Registry.observe t.m_span_duration (t.now - s.opened_at)
-    | Some st ->
-      let at = Shard.now st in
-      let log () =
-        (* [s.span_id] is read here, at replay: the begin closure has
-           already run, so the id is the reconciled one. *)
-        Trace.record t.trace
-          (Span_end
-             { at; pid = s.span_pid; component = s.span_component; span = s.span_id;
-               name = s.span_name });
-        Obs.Registry.observe t.m_span_duration (at - s.opened_at)
-      in
-      if Shard.in_window st then Shard.log_fn st log else log ()
+    Trace.record t.trace
+      (Span_end
+         { at = t.now; pid = s.span_pid; component = s.span_component; span = s.span_id;
+           name = s.span_name });
+    Obs.Registry.observe t.m_span_duration (t.now - s.opened_at)
   end
 
-(* Deferred observer effects: run [fn] at this event's position in the
-   sequential order.  A sequential engine runs it immediately; inside a
-   sharded window it is appended to the executing shard's op log and
-   replayed on the coordinating domain at the barrier.  Client-side
-   observer state shared across pids (e.g. a broadcast's per-instance
-   span bookkeeping) must be mutated through this — a live mutation from
-   a handler would race across shard domains and land trace effects at a
-   wall-clock-dependent position. *)
-let[@race.seq_root] deferred t fn =
-  match t.shards with
-  | Some st when Shard.in_window st -> Shard.log_fn st fn
-  | _ -> fn ()
-
-let[@race.seq_root] record_fd_view t ~component p ~suspected ~trusted =
-  Trace.record t.trace (Fd_view { at = now t; pid = p; component; suspected; trusted })
+let record_fd_view t ~component p ~suspected ~trusted =
+  Trace.record t.trace (Fd_view { at = t.now; pid = p; component; suspected; trusted })
 
 let dispatch t (envelope : Payload.envelope) =
   let { Payload.src; dst; component; tag; payload; sent_at; msg } = envelope in
@@ -592,7 +475,7 @@ let execute t kind =
    both sources), so the [<=] is really a [<] — the "wheel wins ties"
    clause is unreachable, but encodes the documented tie-break.  The
    timer branch allocates nothing. *)
-let[@alloc.zero] seq_step t =
+let[@alloc.zero] step t =
   let have_timer = not (Timer_wheel.is_empty t.timer_wheel) in
   let have_event = not (Event_queue.is_empty t.queue) in
   if not (have_timer || have_event) then false
@@ -637,32 +520,20 @@ let next_instant t =
   let ht = if Event_queue.is_empty t.queue then max_int else Event_queue.next_at t.queue in
   if wt < ht then wt else ht
 
-let[@race.seq_root] step t =
-  match t.shards with None -> seq_step t | Some st -> Shard.step st
-
 let rec run_loop t horizon =
   if next_instant t <= horizon then begin
-    ignore (seq_step t : bool);
+    ignore (step t : bool);
     run_loop t horizon
   end
 
 let run_until t horizon =
-  match t.shards with
-  | Some st -> Shard.run_until st horizon
-  | None ->
-    if horizon < t.now then invalid_arg "Engine.run_until: horizon in the past";
-    run_loop t horizon;
-    t.now <- horizon
+  if horizon < t.now then invalid_arg "Engine.run_until: horizon in the past";
+  run_loop t horizon;
+  t.now <- horizon
 
-let pending_events t =
-  match t.shards with
-  | None -> Event_queue.length t.queue + t.timer_live
-  | Some st -> Shard.pending_events st
+let pending_events t = Event_queue.length t.queue + t.timer_live
 
 let compact t =
-  match t.shards with
-  | Some st -> Shard.compact st
-  | None ->
   Event_queue.shrink t.queue;
   (* Timer-table live high-water: one past the highest non-[Free] slot.
      Pending cells are never [Free], so everything above is absent from

@@ -29,41 +29,14 @@
 
 type t
 
-val create : ?seed:int -> ?shards:int -> n:int -> link:Link.t -> unit -> t
-(** [n >= 1] processes, all initially alive, clock at 0.
-
-    [shards] selects the execution back-end (default
-    {!Shard.default_shards}, i.e. the [--shards]/[ECFD_SHARDS] switch,
-    falling back to 1): 1 runs the sequential engine; [k >= 2] partitions
-    processes across [k] shards ([pid mod k]) advanced in parallel inside
-    conservative time windows bounded by the link's
-    {!Link.min_delay_bound} lookahead (see {!Shard}).  Observable output
-    — trace bytes, stats, obs snapshots — is byte-identical at every
-    shard count; [k] is clamped to [n].  With [k >= 2],
-    {!at}/{!schedule_crash}/{!register} are forbidden from inside
-    component callbacks running in a parallel window, and timers and
-    self-sends may only target the executing shard's own processes
-    (harness code between windows is unrestricted). *)
+val create : ?seed:int -> n:int -> link:Link.t -> unit -> t
+(** [n >= 1] processes, all initially alive, clock at 0. *)
 
 val n : t -> int
 val now : t -> Sim_time.t
 
 val shard_count : t -> int
-(** 1 for the sequential back-end. *)
-
-val window_stats : t -> int * int * int * int
-(** [(windows, null_windows, direct_steps, shard_windows)] of the sharded
-    back-end — all zero sequentially.  Null windows had at most one
-    active shard (no parallelism); direct steps are one-event sequential
-    steps forced by zero lookahead or a due global event;
-    [shard_windows] counts (window, active shard) pairs.  Experiment e21
-    derives window count and null-window fraction from these. *)
-
-val profiler_windows : t -> Shard.window_profile list
-(** Per-window runtime-profiler records of the sharded back-end, in
-    chronological order — empty sequentially, or when profiling was off
-    at engine creation (see {!Shard.default_profile} / [ECFD_PROFILE]).
-    {!Trace_export.chrome} renders these as a profiler track. *)
+(** Always 1: the engine runs every process on the calling domain. *)
 
 val trace : t -> Trace.t
 val stats : t -> Stats.t
@@ -184,16 +157,6 @@ val end_span : t -> span -> unit
     a no-op, so protocols may close eagerly on decide {i and} defensively
     on round exit.  Spans left open at the end of a run (e.g. a suspicion
     of a genuinely crashed process) simply never get a [Span_end]. *)
-
-val deferred : t -> (unit -> unit) -> unit
-(** Run [fn] at this event's position in the sequential order.  On a
-    sequential engine it runs immediately; inside a sharded window it is
-    deferred to barrier replay on the coordinating domain (the same
-    channel spans use).  Handler code whose observer state is shared
-    across pids — e.g. a broadcast's per-instance bookkeeping — must
-    mutate it through this: a live mutation would race across shard
-    domains, and any trace effect it triggers would land at a
-    wall-clock-dependent position. *)
 
 val record_fd_view :
   t -> component:string -> Pid.t -> suspected:Pid.Set.t -> trusted:Pid.t option -> unit

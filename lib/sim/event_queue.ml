@@ -1,5 +1,4 @@
-(* [seq] is mutable only for {!remap_seqs}; nothing else writes it. *)
-type 'a entry = { at : Sim_time.t; mutable seq : int; value : 'a }
+type 'a entry = { at : Sim_time.t; seq : int; value : 'a }
 
 type 'a t = { heap : 'a entry Heap.t; mutable next_seq : int }
 
@@ -18,10 +17,6 @@ let alloc_seq t =
   seq
 
 let schedule t ~at value = Heap.push t.heap { at; seq = alloc_seq t; value }
-
-let schedule_at_seq t ~at ~seq value = Heap.push t.heap { at; seq; value }
-
-let remap_seqs t f = Heap.iter (fun e -> e.seq <- f e.seq) t.heap
 
 let next_time t = Option.map (fun e -> e.at) (Heap.peek t.heap)
 let next_at t = (Heap.top_exn t.heap).at

@@ -145,11 +145,6 @@ let clear t =
   t.size <- 0;
   t.live <- 0
 
-let iter f t =
-  for i = 0 to t.size - 1 do
-    f (get t i)
-  done
-
 let to_list_unordered t =
   let rec collect i acc = if i < 0 then acc else collect (i - 1) (get t i :: acc) in
   collect (t.size - 1) []

@@ -17,13 +17,10 @@ type envelope = {
   tag : string;        (** Human-readable message kind, for traces and stats. *)
   payload : t;
   sent_at : Sim_time.t;
-  mutable msg : int;
+  msg : int;
       (** Engine-allocated message id shared by the Send/Deliver/Drop trace
           events of this message; [-1] for local self-sends, which are not
-          traced.  Mutable only for the sharded engine's barrier
-          reconciliation, which stamps the globally ordered id onto
-          envelopes buffered during a parallel window; the sequential
-          engine never mutates it. *)
+          traced. *)
 }
 
 val pp_envelope : Format.formatter -> envelope -> unit

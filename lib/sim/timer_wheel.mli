@@ -72,10 +72,3 @@ val pop : t -> int
 (** Remove and return the cell with the least (deadline, seq).  Raises
     [Invalid_argument] when empty. *)
 
-val remap_seqs : t -> (int -> int) -> unit
-(** Rewrite every pending cell's sequence number in place (including the
-    cached minima).  [f] must be order-preserving on the pending seqs; the
-    sharded engine uses this at window barriers to replace provisional
-    window-local seqs with their reconciled global values.  Raises
-    [Invalid_argument] if called while a firing batch is mid-drain (cannot
-    happen at a barrier: windows always drain whole batches). *)

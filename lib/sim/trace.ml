@@ -55,11 +55,9 @@ type t = {
   mutable count : int;
   mutable clocks : int array;
   send_lc : (int, int) Hashtbl.t;
-  (* Interception point for the sharded engine: when set, [record] offers
-     the body to the sink first, and only appends it itself if the sink
-     declines (returns [false]).  During a parallel window the sink captures
-     bodies into the recording shard's log; outside windows it declines and
-     recording proceeds exactly as in the sequential engine. *)
+  (* Interception point for observers: when set, [record] offers the body
+     to the sink first, and only appends it itself if the sink declines
+     (returns [false]). *)
   mutable sink : (body -> bool) option;
 }
 

@@ -78,12 +78,11 @@ val record : t -> body -> unit
     appended when the sink declines. *)
 
 val set_sink : t -> (body -> bool) option -> unit
-(** Install (or clear) a recording sink.  The sharded engine uses this to
-    divert bodies recorded inside a parallel window into the recording
-    shard's window log; the sink returns [false] outside windows, in which
-    case {!record} appends directly — so sequential recording (including
-    the sharded engine's own barrier replay) is byte-identical to a
-    sink-free trace. *)
+(** Install (or clear) a recording sink.  A sink that returns [false]
+    declines the body and {!record} appends it directly, so a declining
+    sink (e.g. one that only counts records) leaves the trace
+    byte-identical to a sink-free one; a sink that returns [true] takes
+    the body over and it is not appended. *)
 
 val length : t -> int
 

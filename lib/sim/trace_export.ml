@@ -140,54 +140,7 @@ let chrome_event buf first (e : Trace.event) =
     common ~name ~cat:component ~ph:"E" ~ts:at ~pid (fun () ->
         emit_args buf e (Printf.sprintf ",\"span\":%d" span))
 
-(* Profiler track: one extra Chrome "process" above the sim pids, one
-   thread per shard plus a "barrier" thread.  Each window becomes one
-   complete ("X") slice per active shard over the window's sim-time
-   span, carrying the deterministic per-shard figures (events, op-log
-   words) and the wall-clock ones (busy/replay microseconds) as args;
-   the barrier thread carries the replay cost.  Sim ticks are the [ts]
-   axis, exactly like the event tracks. *)
-let chrome_profiler buf first ~ppid (windows : Shard.window_profile list) =
-  let sep () = if !first then first := false else Buffer.add_string buf ",\n" in
-  let k =
-    List.fold_left (fun acc w -> Stdlib.max acc (Array.length w.Shard.wp_events)) 0 windows
-  in
-  sep ();
-  Printf.bprintf buf
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"engine profiler\"}}"
-    ppid;
-  for i = 0 to k - 1 do
-    sep ();
-    Printf.bprintf buf
-      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"shard %d\"}}"
-      ppid i i
-  done;
-  sep ();
-  Printf.bprintf buf
-    "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"barrier\"}}"
-    ppid k;
-  List.iteri
-    (fun w_idx (w : Shard.window_profile) ->
-      let dur = Stdlib.max 1 (w.Shard.wp_until - w.Shard.wp_from) in
-      Array.iteri
-        (fun i events ->
-          if events > 0 then begin
-            sep ();
-            Printf.bprintf buf
-              "{\"name\":\"window %d\",\"cat\":\"profiler\",\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\"tid\":%d,\"args\":{\"events\":%d,\"ops_words\":%d,\"busy_us\":%d}}"
-              w_idx w.Shard.wp_from dur ppid i events
-              w.Shard.wp_ops_words.(i)
-              (int_of_float (w.Shard.wp_busy_s.(i) *. 1e6))
-          end)
-        w.Shard.wp_events;
-      sep ();
-      Printf.bprintf buf
-        "{\"name\":\"replay %d\",\"cat\":\"profiler\",\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\"tid\":%d,\"args\":{\"active\":%d,\"replay_us\":%d}}"
-        w_idx w.Shard.wp_from dur ppid k w.Shard.wp_active
-        (int_of_float (w.Shard.wp_replay_s *. 1e6)))
-    windows
-
-let chrome ?(profiler = []) buf trace =
+let chrome buf trace =
   Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   let first = ref true in
   (* Process-name metadata rows first, one per process seen in the trace,
@@ -203,11 +156,10 @@ let chrome ?(profiler = []) buf trace =
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"p%d\"}}"
       p p (p + 1)
   done;
-  if profiler <> [] then chrome_profiler buf first ~ppid:(!max_pid + 1) profiler;
   Trace.iter trace (fun e -> chrome_event buf first e);
   Buffer.add_string buf "\n]}\n"
 
-let chrome_string ?profiler trace =
+let chrome_string trace =
   let buf = Buffer.create 8192 in
-  chrome ?profiler buf trace;
+  chrome buf trace;
   Buffer.contents buf

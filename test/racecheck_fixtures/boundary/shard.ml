@@ -1,3 +1,3 @@
-(* A decoy: named shard.ml but NOT at lib/sim/shard.ml, so the exact-path
-   boundary gives it no exemption and the Domain access is a D4 finding. *)
+(* A decoy: a file named shard.ml outside lib/exec/ gets no exemption from
+   its name, so the Domain access is a D4 finding. *)
 let whoami () = Domain.self ()

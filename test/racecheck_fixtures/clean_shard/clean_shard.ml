@@ -1,6 +1,6 @@
-(* The shard-local discipline done right: every write and read inside the
+(* The job-local discipline done right: every write and read inside the
    pool closure goes through state the closure itself created — the
-   owner-threaded pattern the real shard windows follow.  No findings. *)
+   owner-threaded pattern.  No findings. *)
 let sum xs =
   Exec.Pool.run
     (List.map

@@ -78,7 +78,7 @@ let registry_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Update interception (the sharded engine's capture/replay hook)      *)
+(* Update interception (observer hooks: count, or capture and replay)  *)
 (* ------------------------------------------------------------------ *)
 
 let hook_tests =
@@ -118,8 +118,8 @@ let hook_tests =
           "update applied directly" true
           (Obs.Registry.snapshot r = [ ("c", Obs.Registry.Counter 7) ]));
     tc "apply bypasses an installed capturing hook" (fun () ->
-        (* The barrier replays ops while the hook is still installed for
-           the next window — apply must never re-enter the hook. *)
+        (* Replaying captured ops while the hook is still installed must
+           never re-enter the hook. *)
         let r = Obs.Registry.create () in
         let c = Obs.Registry.counter r ~name:"c" in
         let calls = ref 0 and ops = ref [] in

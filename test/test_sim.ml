@@ -543,6 +543,19 @@ let engine_tests =
         Alcotest.(check int) "delivered at t=0" 1 !got;
         Alcotest.(check int) "not counted" 0
           (Sim.Stats.component_counts (Sim.Engine.stats e) ~component:"t").Sim.Stats.sent);
+    tc "delivery latency histogram records message latencies" (fun () ->
+        (* The sim-core churn bench drops never-observed histograms from
+           its snapshot; this pins that deliveries do record. *)
+        let e = mk_engine ~delay:2 () in
+        Sim.Engine.register e ~component:"t" 1 (fun ~src:_ _ -> ());
+        for k = 1 to 3 do
+          Sim.Engine.send e ~component:"t" ~tag:"ping" ~src:0 ~dst:1 (Ping k)
+        done;
+        Sim.Engine.run_until e 10;
+        match List.assoc_opt "engine.delivery_latency" (Obs.Registry.snapshot (Sim.Engine.obs e)) with
+        | Some (Obs.Registry.Histogram { count; sum; _ }) ->
+          Alcotest.(check (pair int int)) "three deliveries of two ticks" (3, 6) (count, sum)
+        | _ -> Alcotest.fail "engine.delivery_latency missing");
     tc "timers fire at the right instant" (fun () ->
         let e = mk_engine () in
         let fired = ref (-1) in

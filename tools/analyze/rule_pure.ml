@@ -26,19 +26,16 @@
        that builds and mutates its own engine is still pure from the
        pool's point of view.
 
-   [Exec.Pool] itself, [Sim.Rng] and [Sim.Shard] are sanctioned
-   boundaries: a nested [par_map] degrades to in-place sequential
-   execution by design, all randomness is seeded, and the sharded engine
-   back-end confines its Domain.DLS use behind pool barriers with
-   byte-identical replay (lint R1 scopes the multicore exemption to that
-   exact file).  The traversal does not descend into them. *)
+   [Exec.Pool] itself and [Sim.Rng] are sanctioned boundaries: a nested
+   [par_map] degrades to in-place sequential execution by design, and all
+   randomness is seeded.  The traversal does not descend into them. *)
 
 open Check_common
 
 let rule_id = "A1"
 let key = "pure"
 
-let opaque_prefixes = [ [ "Exec"; "Pool" ]; [ "Sim"; "Rng" ]; [ "Sim"; "Shard" ] ]
+let opaque_prefixes = [ [ "Exec"; "Pool" ]; [ "Sim"; "Rng" ] ]
 
 let sink_suffixes = [ [ "Pool"; "run" ] ]
 let mapper_names = [ "par_map"; "par_map2"; "par_map3" ]

@@ -1,30 +1,17 @@
 (* The sanctioned multicore boundary, in one place.
 
-   Two locations in the tree are allowed to touch blocking/ordering
-   primitives (Domain, Atomic, Mutex, Condition, Semaphore) directly:
-
-     - lib/exec/ — the deterministic job pool, whose whole point is to
-       confine parallelism where it cannot reach simulated state;
-     - lib/sim/shard.ml, by exact path — the sharded engine's barrier
-       module, which needs Domain.DLS to route trace/obs effects from
-       worker domains into per-shard replay buffers.
+   Only lib/exec/ — the deterministic job pool, whose whole point is to
+   confine parallelism where it cannot reach simulated state — may touch
+   blocking/ordering primitives (Domain, Atomic, Mutex, Condition,
+   Semaphore) directly.
 
    This is the typed successor of lint R1's per-file multicore exemption
    list (R1 now checks only ambient nondeterminism): the exemption is a
    property of the checked boundary, not of the syntax, so it lives with
-   the domain-safety rules.  Like the old R1 list, matching is by exact
-   path suffix — a decoy shard.ml elsewhere in the tree gets no
-   exemption. *)
+   the domain-safety rules.  Matching is by path component, so a decoy
+   file elsewhere in the tree (say, a shard.ml) gets no exemption. *)
 
 let normalized path = String.concat "/" (String.split_on_char '\\' path)
-
-let exact_suffix ~suffix path =
-  let p = normalized path in
-  String.equal p suffix
-  || String.length p > String.length ("/" ^ suffix)
-     && Filename.check_suffix p ("/" ^ suffix)
-
-let is_shard_ml path = exact_suffix ~suffix:"lib/sim/shard.ml" path
 
 let in_exec path =
   let rec scan = function
@@ -34,4 +21,4 @@ let in_exec path =
   in
   scan (String.split_on_char '/' (normalized path))
 
-let sanctioned path = in_exec path || is_shard_ml path
+let sanctioned = in_exec

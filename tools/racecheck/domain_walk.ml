@@ -2,9 +2,8 @@
 
    Everything that crosses onto a pool worker domain — the arguments of
    [Exec.Pool.run] / [par_map*] / [Domain.spawn] applications, plus any
-   definition or expression annotated [@race.domain] (the hook closures
-   the sharded engine installs into Trace/Obs, which run in-window on
-   worker domains) — is a *domain root*.  From each root the walk builds
+   definition or expression annotated [@race.domain] (a closure handed
+   to worker domains by other means) — is a *domain root*.  From each root the walk builds
    the same call-graph closure as ecfd-analyze's A1: per-definition
    summaries, references resolved by identifier stamp within a unit and
    by normalised dotted path across units, chains rendered "via a -> b".
@@ -15,8 +14,8 @@
      - D1 (key [escape]) writes: an assignment ([:=], [<-], [Array.set],
        [Hashtbl.replace], ...) whose target is not owner-threaded — not
        bound inside the function being analysed.  Mutable state written
-       on a worker domain must be [Atomic], shard-local, or an op-stream
-       append replayed behind a barrier; anything else is a data race.
+       on a worker domain must be [Atomic], job-local, or handed back
+       through the pool's result slots; anything else is a data race.
      - D1 (key [escape]) unknown calls: a call through a function value
        whose body the checker cannot see (a parameter, a match-bound
        handler, a callback read out of a table).  Its writes are
@@ -31,8 +30,8 @@
        happens-before edge the barrier provides.
 
    Owner-threading is the bound-identifier test: writes and reads through
-   the analysed function's own parameters and locals are fine — a shard
-   mutating its own [sh] record is the design, not a race.  [Atomic.*]
+   the analysed function's own parameters and locals are fine — a job
+   mutating state it created itself is the design, not a race.  [Atomic.*]
    and [Domain.DLS.*] accesses match neither table and pass.  Strictness
    differs by position: at a root closure every non-bound target is
    flagged (whatever it is, it was captured across the spawn); inside a
@@ -176,8 +175,7 @@ let summarize ~strict (index : Index.t) (e : Typedtree.expression) : summary =
       tgt
   in
   (* An opaque callee is a *domain-safety* obligation only at the layer
-     that moves closures between domains — lib/exec and the shard
-     back-end, where the unknown callee is by construction foreign user
+     that moves closures between domains — lib/exec, where the unknown callee is by construction foreign user
      code running on a worker.  Elsewhere in the cone (an engine a job
      builds and runs inline) an unknown call stays on the calling domain
      and is A1 purity's problem, not a race. *)
@@ -347,8 +345,8 @@ let compute (index : Index.t) =
           ~msg:
             (Printf.sprintf
                "%s — runs on a pool worker domain, reachable from %s%s; make it \
-                Atomic, shard-local, or an op-stream append replayed behind the \
-                barrier, or justify with [@race.allow %s \"...\"]"
+                Atomic, job-local, or handed back through the pool's result \
+                slots, or justify with [@race.allow %s \"...\"]"
                s.what root.desc via s.skey)
           s.sloc
         :: !findings

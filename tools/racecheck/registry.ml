@@ -5,6 +5,5 @@ let all : Drule.t list =
   [
     Rule_escape.rule;  (* D1 *)
     Rule_publish.rule;  (* D2 *)
-    Rule_replay.rule;  (* D3 *)
     Rule_blocking.rule;  (* D4 *)
   ]

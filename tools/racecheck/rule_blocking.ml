@@ -1,8 +1,7 @@
 (* D4 — blocking/ordering hazards outside the sanctioned boundary.
 
    [Domain], [Atomic], [Mutex], [Condition] and [Semaphore] references
-   are confined to lib/exec/ (the pool) and lib/sim/shard.ml (the
-   sharded back-end's Domain.DLS routing) — the Boundary module.  A
+   are confined to lib/exec/ (the pool) — the Boundary module.  A
    spawn in simulated code forks the determinism story; a mutex can
    deadlock against the pool's own joins; an ad-hoc Atomic invents a
    synchronisation protocol the checkers cannot see.  This is the typed
@@ -39,7 +38,7 @@ let run (index : Index.t) =
                       ~msg:
                         (Printf.sprintf
                            "multicore primitive %s outside the sanctioned boundary \
-                            (lib/exec/, lib/sim/shard.ml) — simulated code must \
+                            (lib/exec/) — simulated code must \
                             stay domain-free and deterministic; parallelism \
                             belongs to the pool (HACKING.md \"The job pool\"), or \
                             justify with [@race.allow blocking \"...\"]"
@@ -59,6 +58,6 @@ let rule : Drule.t =
     key;
     doc =
       "blocking/ordering hazards: Domain/Atomic/Mutex/Condition/Semaphore are \
-       confined to lib/exec/ and lib/sim/shard.ml";
+       confined to lib/exec/";
     run;
   }
