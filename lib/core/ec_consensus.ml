@@ -32,7 +32,7 @@ type phase =
   | Advancing  (** Between rounds: the entry runs one engine event later. *)
   | Halted
 
-type announcement = { a_from : Sim.Pid.t; a_round : int; mutable handled : bool }
+type announcement = { a_from : Sim.Pid.t; a_round : int }
 
 (* The coordinator-side state of one process for one round. *)
 type service = {
@@ -54,7 +54,7 @@ type pstate = {
   mutable phase : phase;
   mutable coord : Sim.Pid.t option;  (** My coordinator for the current round. *)
   mutable decided : Instance.decision option;
-  mutable rev_announcements : announcement list;
+  mutable announcements : announcement list;  (** Still unhandled, in arrival order. *)
   mutable round_span : Sim.Engine.span option;  (** Open while participating in a round. *)
   services : (int, service) Hashtbl.t;
   props : (int, (Sim.Pid.t * Value.t option) list ref) Hashtbl.t;  (** Arrival order, reversed. *)
@@ -87,7 +87,7 @@ let install ?(component = component) ?(transport = `Engine) engine ~fd ~rb param
           phase = Idle;
           coord = None;
           decided = None;
-          rev_announcements = [];
+          announcements = [];
           round_span = None;
           services = Hashtbl.create 16;
           props = Hashtbl.create 16;
@@ -317,43 +317,44 @@ let install ?(component = component) ?(transport = `Engine) engine ~fd ~rb param
   and sweep_announcements p =
     (* Handle buffered coordinator announcements: adopt one for the current
        round if still in Phase 0, jump on a newer one, answer the rest with
-       null estimates (Task 1 of Fig. 4).  Announcements for future rounds
-       stay buffered. *)
+       null estimates (Task 1 of Fig. 4).  [handle_one] says whether it
+       consumed [a]; consumed ones are dropped, so [announcements] holds only
+       the unhandled future-round ones, in arrival order. *)
     let st = states.(p) in
     if not params.merge_phase01 then begin
       let handle_one a =
-        if (not a.handled) && st.phase <> Halted && st.phase <> Idle then begin
-          if a.a_round > st.round then begin
-            if st.phase = Wait_coordinator then begin
-              (* Footnote 2: advance to the announced round. *)
-              a.handled <- true;
-              st.round <- a.a_round;
-              st.coord <- None;
-              adopt_coordinator p a.a_from
-            end
-          end
-          else if a.a_round = st.round && st.phase = Wait_coordinator && Option.is_none st.coord then begin
-            a.handled <- true;
+        if st.phase = Halted || st.phase = Idle then false
+        else if a.a_round > st.round then begin
+          let jump = st.phase = Wait_coordinator in
+          if jump then begin
+            (* Footnote 2: advance to the announced round. *)
+            st.round <- a.a_round;
+            st.coord <- None;
             adopt_coordinator p a.a_from
-          end
-          else if Option.equal Sim.Pid.equal (Some a.a_from) st.coord && a.a_round = st.round
-          then a.handled <- true
-          else begin
-            a.handled <- true;
+          end;
+          jump
+        end
+        else begin
+          if a.a_round = st.round && st.phase = Wait_coordinator && Option.is_none st.coord then
+            adopt_coordinator p a.a_from
+          else if not (Option.equal Sim.Pid.equal (Some a.a_from) st.coord && a.a_round = st.round)
+          then
             send_one
               ~tag:(Printf.sprintf "null-estimate.r%d" (a.a_round + 1))
               ~src:p ~dst:a.a_from
-              (Null_estimate { round = a.a_round })
-          end
+              (Null_estimate { round = a.a_round });
+          true
         end
       in
       (* A jump inside the sweep can make previously future announcements
          current; iterate to a fixpoint. *)
       let rec loop () =
-        let before = List.length (List.filter (fun a -> a.handled) st.rev_announcements) in
-        List.iter handle_one (List.rev st.rev_announcements);
-        let after = List.length (List.filter (fun a -> a.handled) st.rev_announcements) in
-        if after <> before then loop ()
+        let rev_kept =
+          List.fold_left (fun acc a -> if handle_one a then acc else a :: acc) [] st.announcements
+        in
+        let consumed = List.compare_lengths rev_kept st.announcements <> 0 in
+        st.announcements <- List.rev rev_kept;
+        if consumed then loop ()
       in
       loop ()
     end
@@ -407,8 +408,7 @@ let install ?(component = component) ?(transport = `Engine) engine ~fd ~rb param
     if st.phase <> Halted then begin
       match payload with
       | Coordinator { round } ->
-        st.rev_announcements <- { a_from = src; a_round = round; handled = false }
-                                :: st.rev_announcements;
+        st.announcements <- st.announcements @ [ { a_from = src; a_round = round } ];
         sweep_announcements p
       | Estimate { round; est; ts } -> begin
         let sv = service_of st round in

@@ -140,6 +140,75 @@ let lemma1_law =
                  per_round)))
         (List.for_all (fun (_, k) -> k <= 1) per_round))
 
+(* Announcement-handling paths of Task 1 (Fig. 4), read off the trace.  A
+   process's round is its count of round spans, except that sending
+   [estimate.rK] for a K beyond it is a footnote-2 jump to K; a
+   [null-estimate.rK] for a K below it answers a stale announcement. *)
+let announcement_paths trace =
+  let round = Hashtbl.create 8 in
+  let round_of p = Option.value ~default:0 (Hashtbl.find_opt round p) in
+  let jumps = ref 0 and stale_nulls = ref 0 in
+  Sim.Trace.iter trace (fun e ->
+      match e.Sim.Trace.body with
+      | Sim.Trace.Span_begin { pid; component; name = "round"; _ }
+        when String.equal component Ecfd.Ec_consensus.component ->
+        Hashtbl.replace round pid (round_of pid + 1)
+      | Sim.Trace.Send { src; component; tag; _ }
+        when String.equal component Ecfd.Ec_consensus.component -> (
+        match Spec.Round_metrics.round_of_tag tag with
+        | Some k when String.starts_with ~prefix:"estimate." tag && k > round_of src ->
+          incr jumps;
+          Hashtbl.replace round src k
+        | Some k when String.starts_with ~prefix:"null-estimate." tag && k < round_of src ->
+          incr stale_nulls
+        | _ -> ())
+      | _ -> ());
+  (!jumps, !stale_nulls)
+
+(* Whole-trace MD5s of fixed chaos runs of the ◇C algorithm, so any change
+   to how announcements are buffered and answered must reproduce every
+   event byte for byte.  Together the runs cover footnote-2 jumps and null
+   estimates sent for stale rounds (checked below, so the pins cannot
+   silently stop exercising them); n=6 seed=3 without stabilisation runs
+   into the 500-round valve. *)
+let pinned_ec_digests =
+  [
+    (3, 12, true, "b5fcaccca25bb6fdb4cf3354606e0be6");
+    (3, 12, false, "dd6895debbfb5b0c7233b740f612754f");
+    (3, 36, true, "f7cdd27eab8756f842a288ee66de1cb4");
+    (3, 36, false, "e950a1b2f088e5e692260e5c33daacd1");
+    (3, 38, true, "a2e4b45804eda9902f1f29262aa8cd8a");
+    (3, 38, false, "063b65ea9e1a00150502a381ae6e3fb7");
+    (4, 12, true, "5f4997849ac6eabf438bafc3b613d5dc");
+    (4, 12, false, "5074cc87bb94cc870b2e69c81979da5d");
+    (4, 13, true, "4935b89883ca7533f99ce9229836524d");
+    (4, 13, false, "e54f3a6bf60a5fba3b01804c98e2a5a9");
+    (6, 3, true, "0c1761c6dcfb3258d795f7e487ce8cae");
+    (6, 3, false, "5cfa0a59d4a9670699f3b1134a8d3a46");
+    (7, 8, true, "15aaecd42b0c3dfd14e4e34dd608f5c5");
+    (7, 8, false, "56a7d18f409e4c237db6c8468de50c51");
+    (7, 33, true, "7e04b23ce8f39736799f5ccb2af4829b");
+    (7, 33, false, "cc0d4c3aeee6e3e661662e6d3baec8f0");
+  ]
+
+let pinned_digests_test =
+  tc "ec: chaos-run traces match their pinned digests" (fun () ->
+      let jumps, stale_nulls =
+        List.fold_left
+          (fun (jumps, stale_nulls) (n, seed, stabilise, expected) ->
+            let engine, _ = build_run ~protocol:`Ec ~n ~seed ~stabilise () in
+            let trace = Sim.Engine.trace engine in
+            Alcotest.(check string)
+              (Printf.sprintf "n=%d seed=%d stabilise=%b" n seed stabilise)
+              expected
+              (Digest.to_hex (Digest.string (Sim.Trace_export.jsonl_string trace)));
+            let j, s = announcement_paths trace in
+            (jumps + j, stale_nulls + s))
+          (0, 0) pinned_ec_digests
+      in
+      Alcotest.(check bool) "some run jumps ahead (footnote 2)" true (jumps > 0);
+      Alcotest.(check bool) "some run answers a stale announcement" true (stale_nulls > 0))
+
 let adversarial_tests =
   [
     lemma1_law;
@@ -200,6 +269,7 @@ let adversarial_tests =
         List.iter (fun p -> instance.Consensus.Instance.propose p (80 + p)) (Sim.Pid.all ~n);
         Sim.Engine.run_until engine 10_000;
         Test_util.check_no_violations "split suspicion" (Sim.Engine.trace engine) ~n);
+    pinned_digests_test;
   ]
 
 let suites = [ ("consensus.adversarial", adversarial_tests) ]

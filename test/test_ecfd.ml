@@ -537,6 +537,41 @@ let ec_consensus_tests =
           + lc.Sim.Stats.timers_orphaned + Sim.Engine.timer_armed e);
         Alcotest.(check int) "no leaked registry slots" lc.Sim.Stats.timers_set
           (lc.Sim.Stats.timers_reclaimed + Sim.Engine.timer_residency e));
+    tc "per-event cost does not grow with the number of rounds run" (fun () ->
+        (* Four permanent NACKers under the strict wait block every round
+           until the valve, so each process keeps receiving announcements
+           for the whole run.  Their handling must cost the same per event
+           in round 1000 as in round 250: Task 1 answers an announcement
+           once, and nothing may rescan the ones already answered. *)
+        let n = 9 in
+        let words_per_event max_rounds =
+          let eng = Scenario.engine ~net:{ Scenario.default_net with seed = 7 } ~n () in
+          let accurate = Fd.Scripted.accurate_stable ~leader:0 ~crashed:Sim.Pid.Set.empty in
+          let nacker_view =
+            Fd.Fd_view.make ~trusted:0 ~suspected:(Sim.Pid.set_of_list [ 0 ]) ()
+          in
+          let fd =
+            Fd.Scripted.install eng
+              ~initial:(fun p -> if p >= 1 && p <= 4 then nacker_view else accurate p)
+              ~steps:[] ()
+          in
+          let rb = Broadcast.Reliable_broadcast.create eng in
+          let inst =
+            Ecfd.Ec_consensus.install eng ~fd ~rb
+              { ec_params with wait_mode = Ecfd.Ec_consensus.Strict_majority; max_rounds }
+          in
+          List.iter (fun p -> inst.Consensus.Instance.propose p (7 * (p + 1))) (Sim.Pid.all ~n);
+          let words0 = Gc.minor_words () in
+          Sim.Engine.run_until eng 10_000_000;
+          let words = Gc.minor_words () -. words0 in
+          Alcotest.(check int) "ran into the round valve" max_rounds (inst.current_round 0);
+          let events = (Sim.Stats.lifecycle (Sim.Engine.stats eng)).Sim.Stats.events_executed in
+          words /. float_of_int events
+        in
+        let short = words_per_event 250 and long = words_per_event 1000 in
+        if long > 1.5 *. short then
+          Alcotest.failf "minor words per event grew from %.1f (250 rounds) to %.1f (1000 rounds)"
+            short long);
   ]
 
 let suites =
