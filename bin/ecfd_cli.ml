@@ -628,91 +628,32 @@ let sweep_cmd =
 (* --- check subcommand --- *)
 
 let check_cmd =
-  let run no_json =
-    (* The syntactic pass reads sources; the typed passes read the .cmt
-       trees dune produced.  From the workspace root those live under
-       _build/default; from inside _build (or a checkout where someone
-       copied the build tree flat) the bare paths work. *)
-    let build = Filename.concat "_build" "default" in
-    let cmt_roots =
-      let prefixed = List.map (Filename.concat build) [ "lib"; "bench" ] in
-      if List.exists Sys.file_exists prefixed then
-        List.filter Sys.file_exists prefixed
-      else List.filter Sys.file_exists [ "lib"; "bench" ]
-    in
-    if cmt_roots = [] then begin
-      prerr_endline "ecfd check: no built library trees found — run `dune build` first";
-      exit 2
-    end;
-    let codes = ref [] in
-    let record tool code = codes := (tool, code) :: !codes in
-    let json name = if no_json then None else Some name in
-    let lint_roots = List.filter Sys.file_exists [ "lib"; "bin"; "bench" ] in
-    let lint = Lint_core.Driver.run_full lint_roots in
-    record "ecfd-lint"
-      (Check_common.Report.emit ~tool:"ecfd-lint"
-         ?json:(json "LINT_findings.json")
-         ~suppressed:lint.Check_common.Pipeline.suppressed
-         ~clean_note:
-           (Printf.sprintf "%d rule(s) over %s"
-              (List.length Lint_core.Registry.all)
-              (String.concat " " lint_roots))
-         lint.Check_common.Pipeline.survivors);
-    let typed tool ~json_file ~n_rules (r : Check_common.Cmt_driver.result) =
-      if r.n_units = 0 then begin
-        Printf.eprintf "%s: no .cmt files below %s — build first (dune build)\n" tool
-          (String.concat " " cmt_roots);
-        record tool 2
-      end
-      else
-        record tool
-          (Check_common.Report.emit ~tool ?json:(json json_file)
-             ~suppressed:r.suppressed
-             ~clean_note:
-               (Printf.sprintf "%d rule(s) over %d unit(s) below %s" n_rules r.n_units
-                  (String.concat " " cmt_roots))
-             r.findings)
-    in
-    typed "ecfd-analyze" ~json_file:"ANALYZE_findings.json"
-      ~n_rules:(List.length Analyze_core.Registry.all)
-      (Analyze_core.Driver.run cmt_roots);
-    typed "ecfd-alloccheck" ~json_file:"ALLOC_findings.json"
-      ~n_rules:(List.length Alloccheck_core.Registry.all)
-      (Alloccheck_core.Driver.run cmt_roots);
-    let budget_file = "bench/alloc_budget.json" in
-    if Sys.file_exists budget_file then begin
-      let drift = Alloccheck_core.Roots_check.check ~budget_file cmt_roots in
-      List.iter (fun line -> Printf.eprintf "ecfd-alloccheck: %s\n" line) drift;
-      if drift <> [] then record "ecfd-alloccheck(roots)" 1
-    end;
-    typed "ecfd-racecheck" ~json_file:"RACE_findings.json"
-      ~n_rules:(List.length Racecheck_core.Registry.all)
-      (Racecheck_core.Driver.run cmt_roots);
-    let codes = List.rev !codes in
-    let worst = List.fold_left (fun acc (_, c) -> max acc c) 0 codes in
-    Printf.eprintf "ecfd check: %s\n"
-      (String.concat ", "
-         (List.map
-            (fun (tool, c) ->
-              Printf.sprintf "%s %s" tool
-                (match c with 0 -> "ok" | 1 -> "FINDINGS" | _ -> "ERROR"))
-            codes));
-    exit worst
+  let run json list_rules =
+    if list_rules then Check_common.Registry.print ()
+    else begin
+      (* Roots are build trees: from the workspace root they live under
+         _build/default, from inside it (the dune rule) they are bare. *)
+      let build = Filename.concat "_build" "default" in
+      let base r = if Sys.file_exists build then Filename.concat build r else r in
+      exit (Check_common.Cmt_driver.main ?json (List.map base Check_common.Cmt_source.default_roots))
+    end
   in
   let doc =
-    "Run all four static passes (lint R-rules, analyze A-rules, alloccheck Z-rules, \
-     racecheck D-rules) in one process, writing the unified findings artifacts \
-     (docs/schemas/findings.schema.json) and exiting with the worst per-pass code."
+    "Run every static rule (R determinism & hygiene, A typed analysis, Z zero \
+     allocation, D domain safety) over the .cmt files of lib, bench and bin, plus the \
+     [@alloc.zero] roots check against bench/alloc_budget.json.  Exits 0 when clean, \
+     1 on findings, 2 when the check cannot run."
   in
   Cmd.v
     (Cmd.info "check" ~doc)
     Term.(
       const run
       $ Arg.(
-          value & flag
-          & info [ "no-json" ]
-              ~doc:"Skip writing the four *_findings.json artifacts to the current \
-                    directory."))
+          value
+          & opt (some string) None
+          & info [ "json" ] ~docv:"FILE"
+              ~doc:"Also write the findings to $(docv) (docs/schemas/findings.schema.json).")
+      $ Arg.(value & flag & info [ "list-rules" ] ~doc:"List the rules and exit."))
 
 let main =
   let doc = "Eventually consistent failure detectors (Larrea, Fernández, Arévalo) — simulator" in

@@ -122,7 +122,7 @@ let incr c =
   | None -> incr_direct c
   | Some f ->
     (if not (f (Op_incr c)) then incr_direct c)
-    [@alloc.allow extern
+    [@check.allow extern
         "observer capture: op boxing happens only with a hook installed, never on \
          the unobserved hot path"]
 
@@ -143,7 +143,7 @@ let set_max g v =
   | None -> set_max_direct g v
   | Some f ->
     (if not (f (Op_set_max (g, v))) then set_max_direct g v)
-    [@alloc.allow extern
+    [@check.allow extern
         "observer capture: op boxing happens only with a hook installed, never on \
          the unobserved hot path"]
 

@@ -3,9 +3,6 @@
 # Outputs land in test_output.txt and bench_output.txt.
 set -e
 dune build @all
-dune build @lint
-dune build @analyze
-dune build @alloccheck
-dune build @racecheck
+dune build @static
 dune runtest --force --no-buffer 2>&1 | tee test_output.txt
 dune exec bench/main.exe 2>&1 | tee bench_output.txt

@@ -1,5 +1,5 @@
 (* A pure pool job: arithmetic plus state local to the job closure.
-   ecfd-analyze must report nothing here — mutation of job-local refs is
+   `ecfd check` must report nothing here — mutation of job-local refs is
    exactly what A1 permits. *)
 let squares xs =
   Exec.Pool.run

@@ -1,0 +1,13 @@
+(* R6 fixture: computed metric/span names (plus the literal and allow escapes). *)
+let bad_counter reg which = Obs.Registry.counter reg ~name:("consensus." ^ which)
+let bad_gauge reg parts = Obs.Registry.gauge reg ~name:(String.concat "." parts)
+
+let bad_histogram reg n =
+  Obs.Registry.histogram reg ~name:(Printf.sprintf "fd.latency.%d" n) ~buckets:[ 8; 16 ]
+
+let bad_span engine p component name = Sim.Engine.begin_span engine p ~component ~name
+let good_counter reg = Obs.Registry.counter reg ~name:"consensus.ec.rounds"
+let good_span engine p = Sim.Engine.begin_span engine p ~component:"fd.ring" ~name:"epoch"
+
+let allowed reg name =
+  (Obs.Registry.counter reg ~name [@check.allow obsname "fixture: the escape hatch"])

@@ -1,23 +1,13 @@
-(* In-process coverage of ecfd-alloccheck (tools/alloccheck): each Z-rule
-   is demonstrated on a seeded-violation fixture library under
-   alloccheck_fixtures/ with exact expected findings (rule, file, line),
-   so disabling or breaking any single rule fails its test — mirroring
-   test_analyze.ml for the A-rules.  The fixtures are real dune libraries:
-   the checker reads the .cmt files their compilation produced, exactly as
-   `dune build @alloccheck` does for lib/ and bench/. *)
+(* The zero-allocation rules Z1-Z4, each demonstrated on a
+   seeded-violation fixture library under alloccheck_fixtures/ with exact
+   expected findings (rule, file, line), so disabling or breaking any
+   single rule fails its test.  The waiver cases run on check_fixtures/;
+   the [@check.allow extern] boundary case is in test_check.ml. *)
 
-let run paths =
-  let findings = (Alloccheck_core.Driver.run paths).Check_common.Cmt_driver.findings in
-  List.map (fun (f : Check_common.Finding.t) -> (f.rule, f.file, f.line)) findings
-
+let run = Test_check.run
+let check_findings = Test_check.check_findings
 let fixture name = Filename.concat "alloccheck_fixtures" name
-
-(* Locations inside .cmt files are relative to the build root. *)
-let src case file = Printf.sprintf "test/alloccheck_fixtures/%s/%s" case file
-
-let check_findings ~expected paths () =
-  Alcotest.(check (list (triple string string int)))
-    "findings (rule, file, line)" expected (run paths)
+let src = Test_check.src "alloccheck"
 
 let test_z1_closure =
   (* The closure on line 4 lives in [mid], one call below the annotated
@@ -28,7 +18,7 @@ let test_z1_closure =
     ~expected:[ ("Z1", src "z1_closure" "z1_closure.ml", 4) ]
 
 let test_z1_chain_names_intermediate () =
-  let findings = (Alloccheck_core.Driver.run [ fixture "z1_closure" ]).Check_common.Cmt_driver.findings in
+  let findings = (Check_common.Cmt_driver.run [ fixture "z1_closure" ]).findings in
   match findings with
   | [ f ] ->
     let mentions sub =
@@ -61,39 +51,30 @@ let test_decoy =
   (* Allocations outside the root cone are not the checker's business. *)
   check_findings [ fixture "decoy" ] ~expected:[]
 
-let test_suppressed =
-  (* The z2_boxed violation again, under [@alloc.allow boxed "..."]. *)
-  check_findings [ fixture "suppressed" ] ~expected:[]
+let test_suppressed = Test_check.suppressed_family ~prefix:"Z" ~expected:[ ("Z2", 22) ]
 
 let test_stale =
-  (* An [@alloc.allow] span in the root cone covering no finding is
-     itself reported. *)
+  (* A waiver span in the root cone covering no finding is itself
+     reported. *)
   check_findings
-    [ fixture "stale" ]
-    ~expected:[ ("STALE", src "stale" "stale_alloc.ml", 4) ]
+    [ Test_check.fixture "stale_alloc" ]
+    ~expected:[ ("STALE", Test_check.here "stale_alloc" "stale_alloc.ml", 4) ]
 
 let test_bad_allow =
-  (* An allow naming an unregistered rule key is itself reported. *)
+  (* A waiver naming an unregistered rule key is itself reported. *)
   check_findings
-    [ fixture "bad_allow" ]
-    ~expected:[ ("ALLOC", src "bad_allow" "bad_allow.ml", 3) ]
+    [ Test_check.fixture "unknown_alloc_key" ]
+    ~expected:[ ("CHECK", Test_check.here "unknown_alloc_key" "bad_allow.ml", 3) ]
 
 let test_whole_directory () =
-  (* All fixtures at once, via the same recursive .cmt walk the dune
-     @alloccheck alias uses. *)
+  (* All fixtures at once, via the same recursive .cmt walk `ecfd check`
+     uses. *)
   Alcotest.(check int)
-    "total findings over alloccheck_fixtures/" 6
+    "total findings over alloccheck_fixtures/" 4
     (List.length (run [ "alloccheck_fixtures" ]))
 
-let test_registry () =
-  let open Alloccheck_core in
-  let ids = List.map (fun (r : Zrule.t) -> r.id) Registry.all in
-  Alcotest.(check (list string)) "rule ids" [ "Z1"; "Z2"; "Z3"; "Z4" ] ids;
-  let keys = List.map (fun (r : Zrule.t) -> r.key) Registry.all in
-  Alcotest.(check int)
-    "suppression keys are unique"
-    (List.length keys)
-    (List.length (List.sort_uniq String.compare keys))
+let test_registry =
+  Test_check.registry_family ~prefix:"Z" ~expected:[ "Z1"; "Z2"; "Z3"; "Z4" ]
 
 let test_static_roots_parser () =
   let json =
@@ -101,12 +82,12 @@ let test_static_roots_parser () =
         "static_roots": [ "Sim.Engine.step", "Sim.Heap.pop_exn" ],
         "note": "x" }|}
   in
-  (match Alloccheck_core.Roots_check.static_roots_of_string json with
+  (match Check_common.Roots_check.static_roots_of_string json with
   | Ok roots ->
     Alcotest.(check (list string))
       "parsed roots" [ "Sim.Engine.step"; "Sim.Heap.pop_exn" ] roots
   | Error msg -> Alcotest.failf "parse failed: %s" msg);
-  match Alloccheck_core.Roots_check.static_roots_of_string "{}" with
+  match Check_common.Roots_check.static_roots_of_string "{}" with
   | Ok _ -> Alcotest.fail "missing key must be an error"
   | Error _ -> ()
 

@@ -1,6 +1,6 @@
-(* Regression tests for the determinism guarantees behind the R2 lint rule:
+(* Regression tests for the determinism guarantees behind rule A4 (was R2):
    hash-table iteration order must never reach an observable output.
-   Covers the sites fixed alongside the linter (Stats.snapshot,
+   Covers the sites fixed alongside the rule (Stats.snapshot,
    Consensus_props.uniform_integrity, Round_metrics) and the acceptance
    scenario: identical Stats.snapshot / Round_metrics output across two
    runs with the same seed but different component-registration order. *)

@@ -1,82 +1,55 @@
-(* In-process coverage of the ecfd-lint analyzer (tools/lint): each rule
-   R1-R6 is demonstrated on a seeded-violation fixture under
-   lint_fixtures/ with exact expected findings, so disabling or breaking
-   any single rule fails its test.  Suppression and the mandatory reason
-   string are covered the same way. *)
+(* The determinism & hygiene rules R1 and R4-R6, each demonstrated on a
+   seeded-violation fixture library under lint_fixtures/ with exact
+   expected findings (rule, file, line), so disabling or breaking any
+   single rule fails its test.  R2 and R3 are retired: their fixtures
+   and assertions moved to A4 and A3 (test_analyze.ml).  The suppression
+   grammar cases run on check_fixtures/ (see test_check.ml). *)
 
-let run paths =
-  List.map (fun (f : Lint_core.Finding.t) -> (f.rule, f.line)) (Lint_core.Driver.run paths)
-
+let check_findings = Test_check.check_findings
 let fixture name = Filename.concat "lint_fixtures" name
-
-let check_findings ~expected paths () =
-  Alcotest.(check (list (pair string int))) "findings (rule, line)" expected (run paths)
+let src = Test_check.src "lint"
 
 let test_r1_ambient =
+  let file = src "ambient_bad" "ambient_bad.ml" in
   check_findings
-    [ fixture "ambient_bad.ml" ]
-    ~expected:[ ("R1", 3); ("R1", 4); ("R1", 5); ("R1", 6); ("R1", 7) ]
-
-(* Multicore-primitive confinement moved to ecfd-racecheck's D4
-   (test_racecheck.ml covers the boundary, including the decoy shard.ml);
-   R1 keeps only the ambient-nondeterminism core. *)
+    [ fixture "ambient_bad" ]
+    ~expected:(List.map (fun line -> ("R1", file, line)) [ 3; 4; 5; 6; 7 ])
 
 let test_r1_rng_exemption =
-  (* The R1 exemption is the exact path lib/sim/rng.ml: the real path's
-     Random use passes, a decoy rng.ml under bench/ is flagged. *)
-  check_findings [ fixture "decoy_rng_case" ] ~expected:[ ("R1", 4) ]
-
-let test_r2_unordered =
+  (* The R1 exemption is the path lib/sim/rng.ml: the real path's Random
+     use passes, a decoy rng.ml under bench/ is flagged. *)
   check_findings
-    [ fixture "unordered_bad.ml" ]
-    ~expected:[ ("R2", 4); ("R2", 7); ("R2", 12) ]
-
-let test_r3_polycmp =
-  check_findings
-    [ fixture "polycmp_bad.ml" ]
-    ~expected:[ ("R3", 8); ("R3", 9); ("R3", 10); ("R3", 11) ]
+    [ fixture "decoy_rng_case" ]
+    ~expected:[ ("R1", src "decoy_rng_case" "bench/rng.ml", 4) ]
 
 let test_r4_payload =
-  check_findings [ fixture "payload_bad.ml" ] ~expected:[ ("R4", 6); ("R4", 7) ]
+  let file = src "payload_bad" "payload_bad.ml" in
+  check_findings [ fixture "payload_bad" ] ~expected:[ ("R4", file, 6); ("R4", file, 7) ]
 
-let test_r5_mli = check_findings [ fixture "mli_case" ] ~expected:[ ("R5", 1) ]
+let test_r5_mli =
+  check_findings [ fixture "mli_case" ] ~expected:[ ("R5", src "mli_case" "lib/orphan.ml", 1) ]
 
 let test_r6_obsname =
   (* Computed ~name arguments to the Obs registration points and to
-     Engine.begin_span; the literal sites and the [@lint.allow obsname]
+     Engine.begin_span; the literal sites and the [@check.allow obsname]
      site at the bottom of the fixture stay silent. *)
+  let file = src "obsname_bad" "obsname_bad.ml" in
   check_findings
-    [ fixture "obsname_bad.ml" ]
-    ~expected:[ ("R6", 2); ("R6", 3); ("R6", 6); ("R6", 8) ]
-
-let test_suppressed = check_findings [ fixture "allowed.ml" ] ~expected:[]
-
-let test_missing_reason =
-  check_findings [ fixture "missing_reason.ml" ] ~expected:[ ("R1", 5); ("LINT", 5) ]
-
-let test_unknown_key =
-  (* A key no registered rule owns would suppress nothing — report the
-     suppression itself and keep the underlying finding. *)
-  check_findings [ fixture "unknown_key.ml" ] ~expected:[ ("R1", 5); ("LINT", 5) ]
-
-let test_stale =
-  (* A [@lint.allow] span covering no finding is itself reported. *)
-  check_findings [ fixture "stale_allow.ml" ] ~expected:[ ("STALE", 3) ]
+    [ fixture "obsname_bad" ]
+    ~expected:[ ("R6", file, 2); ("R6", file, 3); ("R6", file, 6); ("R6", file, 8) ]
 
 let test_whole_directory () =
-  (* All fixtures at once: the per-file expectations above, via the same
-     directory walk the dune @lint alias uses. *)
-  Alcotest.(check int) "total findings over lint_fixtures/" 25
-    (List.length (run [ "lint_fixtures" ]))
+  (* All fixtures at once: the per-fixture expectations above, via the
+     same recursive .cmt walk `ecfd check` uses. *)
+  Alcotest.(check int) "total findings over lint_fixtures/" 13
+    (List.length (Test_check.run [ "lint_fixtures" ]))
 
-let test_registry () =
-  let ids = List.map (fun (r : Lint_core.Rules.t) -> r.id) Lint_core.Registry.all in
-  Alcotest.(check (list string)) "rule ids" [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6" ] ids;
-  let keys = List.map (fun (r : Lint_core.Rules.t) -> r.key) Lint_core.Registry.all in
-  Alcotest.(check (list string))
-    "suppression keys are unique" keys
-    (List.sort_uniq String.compare keys |> fun sorted ->
-     List.filter (fun k -> List.mem k sorted) keys)
+let test_suppressed =
+  Test_check.suppressed_family ~prefix:"R" ~expected:[ ("R1", 9); ("R4", 19) ]
+
+let test_registry =
+  Test_check.registry_family ~prefix:"R" ~expected:[ "R1"; "R4"; "R5"; "R6" ]
+    ~retired:[ "R2"; "R3" ]
 
 let suites =
   [
@@ -85,18 +58,17 @@ let suites =
         Alcotest.test_case "R1: ambient nondeterminism fixture" `Quick test_r1_ambient;
         Alcotest.test_case "R1: rng.ml exemption is by exact path" `Quick
           test_r1_rng_exemption;
-        Alcotest.test_case "R2: unordered-escape fixture" `Quick test_r2_unordered;
-        Alcotest.test_case "R3: polymorphic-compare fixture" `Quick test_r3_polycmp;
         Alcotest.test_case "R4: payload-hygiene fixture" `Quick test_r4_payload;
         Alcotest.test_case "R5: missing-mli fixture" `Quick test_r5_mli;
         Alcotest.test_case "R6: computed-observability-name fixture" `Quick
           test_r6_obsname;
         Alcotest.test_case "[@lint.allow] suppresses with a reason" `Quick test_suppressed;
         Alcotest.test_case "[@lint.allow] without a reason is reported" `Quick
-          test_missing_reason;
+          Test_check.test_missing_reason;
         Alcotest.test_case "[@lint.allow] with an unknown rule key is reported" `Quick
-          test_unknown_key;
-        Alcotest.test_case "stale [@lint.allow] is itself a finding" `Quick test_stale;
+          Test_check.test_unknown_key;
+        Alcotest.test_case "stale [@lint.allow] is itself a finding" `Quick
+          Test_check.test_stale;
         Alcotest.test_case "directory walk finds every seeded violation" `Quick
           test_whole_directory;
         Alcotest.test_case "registry lists R1-R6 with unique keys" `Quick test_registry;

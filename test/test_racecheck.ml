@@ -1,37 +1,21 @@
-(* In-process coverage of ecfd-racecheck (tools/racecheck): each
-   domain-safety rule (D1, D2, D4) is demonstrated on a seeded-violation fixture
-   library under racecheck_fixtures/ with exact expected findings (rule,
-   file, line), so disabling or breaking any single rule fails its test.
-   The fixtures are real dune libraries — the checker reads the .cmt
-   files their compilation produced, exactly as `dune build @racecheck`
-   does for lib/ and bench/. *)
+(* The domain-safety rules D1, D2 and D4, each demonstrated on a
+   seeded-violation fixture library under racecheck_fixtures/ with exact
+   expected findings (rule, file, line), so disabling or breaking any
+   single rule fails its test.  Every rule runs on every fixture, so a
+   pool job that writes captured state is both a D1 (domain escape) and
+   an A1 (purity) finding. *)
 
-let result paths = Racecheck_core.Driver.run paths
-
-let run paths =
-  List.map
-    (fun (f : Check_common.Finding.t) -> (f.rule, f.file, f.line))
-    (result paths).Check_common.Cmt_driver.findings
-
+let check_findings = Test_check.check_findings
 let fixture name = Filename.concat "racecheck_fixtures" name
-
-(* Locations inside .cmt files are relative to the build root. *)
-let src case file = Printf.sprintf "test/racecheck_fixtures/%s/%s" case file
-
-let check_findings ~expected paths () =
-  Alcotest.(check (list (triple string string int)))
-    "findings (rule, file, line)" expected (run paths)
+let src = Test_check.src "racecheck"
 
 let test_d1_capture =
   (* Line 11 is the write directly in the pool closure; line 5 the same
      ref written through a helper — the interprocedural half. *)
+  let file = src "d1_capture" "d1_capture.ml" in
   check_findings
     [ fixture "d1_capture" ]
-    ~expected:
-      [
-        ("D1", src "d1_capture" "d1_capture.ml", 5);
-        ("D1", src "d1_capture" "d1_capture.ml", 11);
-      ]
+    ~expected:[ ("A1", file, 5); ("D1", file, 5); ("A1", file, 11); ("D1", file, 11) ]
 
 let test_d2_publish =
   check_findings
@@ -64,40 +48,25 @@ let test_clean_shard =
   (* Owner-threaded state inside the closure: the design, not a race. *)
   check_findings [ fixture "clean_shard" ] ~expected:[]
 
-let test_suppressed () =
-  let r = result [ fixture "suppressed" ] in
-  Alcotest.(check (list (triple string string int)))
-    "no surviving findings" []
-    (List.map
-       (fun (f : Check_common.Finding.t) -> (f.rule, f.file, f.line))
-       r.Check_common.Cmt_driver.findings);
-  Alcotest.(check int)
-    "both violations recorded as suppressed" 2
-    (List.length r.Check_common.Cmt_driver.suppressed)
+let test_suppressed =
+  (* Two keys stacked on one pool-job write waive its D1 and D2 findings. *)
+  Test_check.suppressed_family ~prefix:"D" ~expected:[ ("D1", 30); ("D2", 30) ]
 
 let test_stale =
-  (* A [@race.allow] span covering no finding is itself reported. *)
+  (* A waiver span covering no finding is itself reported. *)
   check_findings
-    [ fixture "stale" ]
-    ~expected:[ ("STALE", src "stale" "race_stale.ml", 7) ]
+    [ Test_check.fixture "stale_race" ]
+    ~expected:[ ("STALE", Test_check.here "stale_race" "race_stale.ml", 7) ]
 
 let test_whole_directory () =
-  (* All fixtures at once, via the same recursive .cmt walk the dune
-     @racecheck alias uses. *)
+  (* All fixtures at once, via the same recursive .cmt walk `ecfd check`
+     uses. *)
   Alcotest.(check int)
-    "total findings over racecheck_fixtures/" 9
-    (List.length (run [ "racecheck_fixtures" ]))
+    "total findings over racecheck_fixtures/" 10
+    (List.length (Test_check.run [ "racecheck_fixtures" ]))
 
-let test_registry () =
-  let ids = List.map (fun (r : Racecheck_core.Drule.t) -> r.id) Racecheck_core.Registry.all in
-  Alcotest.(check (list string)) "rule ids" [ "D1"; "D2"; "D4" ] ids;
-  let keys =
-    List.map (fun (r : Racecheck_core.Drule.t) -> r.key) Racecheck_core.Registry.all
-  in
-  Alcotest.(check int)
-    "suppression keys are unique"
-    (List.length keys)
-    (List.length (List.sort_uniq String.compare keys))
+let test_registry =
+  Test_check.registry_family ~prefix:"D" ~expected:[ "D1"; "D2"; "D4" ] ~retired:[ "D3" ]
 
 let suites =
   [

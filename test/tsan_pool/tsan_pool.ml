@@ -2,7 +2,7 @@
 
    Kept free of compiler-libs (and of everything else but Exec): the
    TSan job builds with the 5.2 tsan compiler variant while the repo's
-   analyzer pins compiler-libs to 5.1, so the full test binary cannot
+   static checker pins compiler-libs to 5.1, so the full test binary cannot
    run there.  This drives the same contract test_exec checks
    in-process: parallel results are byte-identical to sequential, under
    enough jobs and domains (ECFD_DOMAINS=4 in CI) that TSan sees real

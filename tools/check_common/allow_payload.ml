@@ -1,9 +1,9 @@
-(* The payload grammar of per-site suppression attributes, shared by
-   [@lint.allow <key> "reason"] (ecfd-lint, parsetree spans) and
-   [@analyze.allow <key> "reason"] (ecfd-analyze, typedtree spans).  Each
-   pass walks its own tree to find the attributes; the payload shape, the
-   mandatory-reason policy and the span-matching rule live here so the two
-   suppression languages cannot drift apart. *)
+(* The payload grammar of the one suppression attribute,
+   [@check.allow <key> "reason"].  Tsuppress walks the typed trees to find
+   the attributes; the payload shape, the mandatory-reason policy and the
+   span-matching rule live here. *)
+
+let attr_name = "check.allow"
 
 type span = {
   key : string;
@@ -13,9 +13,9 @@ type span = {
 }
 
 (* Payload forms accepted:
-     [@<pass>.allow key "reason"]   -> Some (key, Some reason)
-     [@<pass>.allow key]            -> Some (key, None)       (missing reason)
-   anything else                    -> None                   (malformed)  *)
+     [@check.allow key "reason"]   -> Some (key, Some reason)
+     [@check.allow key]            -> Some (key, None)       (missing reason)
+   anything else                   -> None                   (malformed)  *)
 let parse (attr : Parsetree.attribute) =
   match attr.attr_payload with
   | PStr [ { pstr_desc = Pstr_eval (e, _); _ } ] -> (
@@ -29,29 +29,27 @@ let parse (attr : Parsetree.attribute) =
     | _ -> None)
   | _ -> None
 
-(* Interpret one attribute named [attr_name] covering [span]: either a
-   well-formed suppression span, or a finding (reported under [meta_rule],
-   "LINT" / "ANALYZE" / "ALLOC") describing why the attribute itself is
-   broken.  [known_keys] is the pass's registered rule keys: an allow
-   naming any other key is rejected rather than silently ignored — a
-   typoed key used to produce a span that could never match a finding,
-   i.e. a suppression that suppressed nothing without telling anyone. *)
-let classify ~attr_name ~meta_rule ~meta_key ~known_keys ~(span : Location.t)
-    (attr : Parsetree.attribute) =
+(* Interpret one attribute covering [span]: [None] if it is not a
+   [@check.allow], else either a well-formed suppression span or a
+   [CHECK] finding describing why the attribute itself is broken.
+   [known_keys] is the registered rule keys: an allow naming any other key
+   is rejected rather than silently ignored — a typoed key would produce a
+   span that could never match a finding, i.e. a suppression that
+   suppressed nothing without telling anyone. *)
+let classify ~known_keys ~(span : Location.t) (attr : Parsetree.attribute) =
+  let broken msg =
+    Some (Error (Finding.of_loc ~rule:"CHECK" ~key:"check" ~msg attr.attr_loc))
+  in
   if not (String.equal attr.attr_name.txt attr_name) then None
   else
     match parse attr with
     | Some (key, Some _) when not (List.mem key known_keys) ->
-      Some
-        (Error
-           (Finding.of_loc ~rule:meta_rule ~key:meta_key
-              ~msg:
-                (Printf.sprintf
-                   "[@%s %s]: unknown rule key %S (known: %s) — a suppression \
-                    naming no registered rule suppresses nothing"
-                   attr_name key key
-                   (String.concat ", " (List.sort String.compare known_keys)))
-              attr.attr_loc))
+      broken
+        (Printf.sprintf
+           "[@%s %s]: unknown rule key %S (known: %s) — a suppression naming no \
+            registered rule suppresses nothing"
+           attr_name key key
+           (String.concat ", " (List.sort String.compare known_keys)))
     | Some (key, Some reason) when String.trim reason <> "" ->
       Some
         (Ok
@@ -62,25 +60,14 @@ let classify ~attr_name ~meta_rule ~meta_key ~known_keys ~(span : Location.t)
              loc = attr.attr_loc;
            })
     | Some (key, _) ->
-      Some
-        (Error
-           (Finding.of_loc ~rule:meta_rule ~key:meta_key
-              ~msg:
-                (Printf.sprintf
-                   "[@%s %s] needs a non-empty reason string, e.g. [@%s %s \"why \
-                    this site is safe\"]"
-                   attr_name key attr_name key)
-              attr.attr_loc))
-    | None ->
-      Some
-        (Error
-           (Finding.of_loc ~rule:meta_rule ~key:meta_key
-              ~msg:
-                (Printf.sprintf "malformed [@%s]: expected <rule-key> \"reason\""
-                   attr_name)
-              attr.attr_loc))
+      broken
+        (Printf.sprintf
+           "[@%s %s] needs a non-empty reason string, e.g. [@%s %s \"why this site \
+            is safe\"]"
+           attr_name key attr_name key)
+    | None -> broken (Printf.sprintf "malformed [@%s]: expected <rule-key> \"reason\"" attr_name)
 
-(* A whole-file span, for floating [@@@<pass>.allow ...] attributes. *)
+(* A whole-file span, for floating [@@@check.allow ...] attributes. *)
 let file_span path : Location.t =
   {
     loc_start = { pos_fname = path; pos_lnum = 1; pos_bol = 0; pos_cnum = 0 };
@@ -88,7 +75,7 @@ let file_span path : Location.t =
     loc_ghost = false;
   }
 
+let covers_site s ~key ~offset = String.equal s.key key && s.left <= offset && offset <= s.right
+
 let covers spans (f : Finding.t) =
-  List.exists
-    (fun s -> String.equal s.key f.key && s.left <= f.offset && f.offset <= s.right)
-    spans
+  List.exists (fun s -> covers_site s ~key:f.key ~offset:f.offset) spans

@@ -1,14 +1,10 @@
 (* Loading the typed tree of one compilation unit from the .cmt file dune
    already produces (the [-bin-annot] output).  Locations inside a .cmt are
    relative to the build root ("lib/sim/engine.ml"), which is exactly what
-   we want to print.  Shared by every typed pass (ecfd-analyze,
-   ecfd-alloccheck). *)
+   we want to print. *)
 
-(* The one place the .cmt search roots are defined: every typed pass
-   (ecfd-analyze, ecfd-alloccheck) scans the same build trees by default,
-   so extending coverage (tools/, test/) later is a one-line change here
-   rather than a per-tool drift hazard. *)
-let default_roots = [ "lib"; "bench" ]
+(* The build trees `ecfd check` scans, relative to the build root. *)
+let default_roots = [ "lib"; "bench"; "bin" ]
 
 type t = {
   cmt_path : string;  (** The .cmt we loaded. *)
@@ -41,9 +37,8 @@ let load cmt_path =
 let normalise path =
   String.concat "/" (String.split_on_char Filename.dir_sep.[0] path)
 
-(* Every .cmt below [path], sorted.  Unlike the lint's source walk this
-   must descend into dot-directories: dune keeps .cmt files in
-   [.<lib>.objs/byte/]. *)
+(* Every .cmt below [path], sorted.  The walk descends into
+   dot-directories: dune keeps .cmt files in [.<lib>.objs/byte/]. *)
 let rec cmts_under path =
   if Sys.is_directory path then
     Sys.readdir path |> Array.to_list |> List.sort String.compare
@@ -51,4 +46,8 @@ let rec cmts_under path =
   else if Filename.check_suffix path ".cmt" then [ normalise path ]
   else []
 
-let discover roots = List.concat_map cmts_under roots |> List.sort_uniq String.compare
+(* A missing root contributes nothing; an empty scan is the caller's
+   error to report. *)
+let discover roots =
+  List.filter Sys.file_exists roots |> List.concat_map cmts_under
+  |> List.sort_uniq String.compare

@@ -1,7 +1,6 @@
-(* A single static-analysis finding, shared by ecfd-lint (parsetree rules,
-   R1..) and ecfd-analyze (typedtree rules, A1..).  [offset] is the
-   absolute character offset of the flagged node's start — used only to
-   match suppression spans, never printed. *)
+(* A single static-analysis finding.  [offset] is the absolute character
+   offset of the flagged node's start — used only to match suppression
+   spans, never printed. *)
 
 type t = {
   file : string;
@@ -46,10 +45,10 @@ let compare a b =
 
 let to_string f = Printf.sprintf "%s:%d: [%s] %s" f.file f.line f.rule f.msg
 
-(* Machine-readable form for CI artifacts (the four *_findings.json).
-   One serializer, one shape — docs/schemas/findings.schema.json — for
-   every pass; [suppressed] distinguishes findings a [@<pass>.allow] span
-   silenced from the survivors that fail the build. *)
+(* Machine-readable form for the CI artifact (CHECK_findings.json), in
+   the shape of docs/schemas/findings.schema.json; [suppressed]
+   distinguishes findings a [@check.allow] span silenced from the
+   survivors that fail the build. *)
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
   String.iter

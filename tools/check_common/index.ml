@@ -8,7 +8,8 @@
        cross-unit [Pdot] reference finds it.
 
    This is the substrate the interprocedural rules (A1 purity, A2
-   exception-safety) build their reachability closures on. *)
+   exception-safety, the Z and D walks) build their reachability
+   closures on. *)
 
 type def = {
   display : string;  (** For messages: path, or ["name (file:line)"] for locals. *)

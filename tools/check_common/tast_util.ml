@@ -1,4 +1,4 @@
-(* Typedtree / compiler-libs helpers shared by the A-rules.
+(* Typedtree / compiler-libs helpers shared by the rules.
 
    Everything the rules match on goes through [path_of] /
    [normalize_name], which turn resolved [Path.t]s into normalised
@@ -52,7 +52,7 @@ let starts_with ~prefix p =
 (* ------------------------------------------------------------------ *)
 
 (* Does the (instantiated) type mention a constructor whose normalised
-   path satisfies [pred]?  This is what makes the A-rules alias-aware:
+   path satisfies [pred]?  This is what makes the typed rules alias-aware:
    however an offending function was reached (let-alias, eta-expansion,
    functor argument), its use site carries the instantiated type. *)
 let type_mentions ~pred ty =

@@ -1,30 +1,25 @@
-(* Per-site suppression collection for the typed passes:
-   [@<pass>.allow <rule-key> "reason"] walked out of a .cmt typedtree.
+(* Per-site suppression collection: [@check.allow <rule-key> "reason"]
+   walked out of a .cmt typedtree.
 
-   Shared by ecfd-analyze ([@analyze.allow], meta rule ANALYZE) and
-   ecfd-alloccheck ([@alloc.allow], meta rule ALLOC); the lint collects
-   the same grammar from parsetrees in tools/lint/suppress.ml.  Semantics
-   are identical across passes: the attribute may sit on an expression or
-   a value binding, or float at the top of a file ([@@@<pass>.allow ...]
-   suppresses for the whole file); the reason string is mandatory; the
-   rule key must name a registered rule; and a broken attribute is itself
-   reported under the pass's meta rule.  Attributes survive typing
-   unchanged, so the spans are collected from the typedtree of the .cmt —
-   no reparse. *)
+   The attribute may sit on an expression, a value binding or an
+   extension constructor (the [Payload.t +=] kinds R4 checks), or float
+   at the top of a file ([@@@check.allow ...] suppresses for the whole
+   file); the reason string is mandatory; the rule key must name a
+   registered rule; and a broken attribute is itself reported under the
+   meta rule [CHECK].  Attributes survive typing unchanged, so the spans
+   are collected from the typedtree of the .cmt — no reparse. *)
 
 type t = {
   spans : Allow_payload.span list;
   findings : Finding.t list;
 }
 
-let collect ~attr_name ~meta_rule ~meta_key ~known_keys (src : Cmt_source.t) =
+let collect ~known_keys (src : Cmt_source.t) =
   let spans = ref [] and findings = ref [] in
   let note_attrs ~(span : Location.t) (attrs : Parsetree.attributes) =
     List.iter
       (fun (attr : Parsetree.attribute) ->
-        match
-          Allow_payload.classify ~attr_name ~meta_rule ~meta_key ~known_keys ~span attr
-        with
+        match Allow_payload.classify ~known_keys ~span attr with
         | None -> ()
         | Some (Ok span) -> spans := span :: !spans
         | Some (Error f) -> findings := f :: !findings)
@@ -42,6 +37,10 @@ let collect ~attr_name ~meta_rule ~meta_key ~known_keys (src : Cmt_source.t) =
         (fun self (vb : Typedtree.value_binding) ->
           note_attrs ~span:vb.vb_loc vb.vb_attributes;
           default_iterator.value_binding self vb);
+      extension_constructor =
+        (fun self (ec : Typedtree.extension_constructor) ->
+          note_attrs ~span:ec.ext_loc ec.ext_attributes;
+          default_iterator.extension_constructor self ec);
       structure_item =
         (fun self (item : Typedtree.structure_item) ->
           (match item.str_desc with
@@ -56,5 +55,3 @@ let collect ~attr_name ~meta_rule ~meta_key ~known_keys (src : Cmt_source.t) =
   in
   it.structure it src.Cmt_source.str;
   { spans = !spans; findings = !findings }
-
-let is_suppressed t (f : Finding.t) = Allow_payload.covers t.spans f
