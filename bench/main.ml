@@ -8,7 +8,7 @@
      dune exec bench/main.exe -- sim_core   # engine hot path -> BENCH_sim_core.json
                                             # (SIM_CORE_EVENTS=2000 for a smoke run)
      dune exec bench/main.exe -- e20        # heartbeat-saturated scaling + allocs/event
-                                            # (ECFD_E20_NS / ECFD_E20_EVENTS trim it;
+                                            # (ECFD_E20_EVENTS trims it;
                                             #  ECFD_ALLOC_GATE=1 enables the CI budget gate)
 
    Experiments fan their (subject, seed, n) grids over a Domain job pool;

@@ -93,7 +93,6 @@ type churn_result = {
   ch_max_residency : int;
   ch_residency_end : int;
   ch_heap_pop_words : float;
-  ch_obs_json : string;
 }
 
 type e20_row = {
@@ -111,7 +110,7 @@ let e20_result : e20_row list option ref = ref None
 
 let emit_sim_core_json () =
   let oc = open_out sim_core_json_file in
-  Printf.fprintf oc "{\n  \"bench\": \"sim_core\",\n  \"schema_version\": 4,\n";
+  Printf.fprintf oc "{\n  \"bench\": \"sim_core\",\n  \"schema_version\": 5,\n";
   (match !churn_result with
   | None -> Printf.fprintf oc "  \"churn\": null,\n"
   | Some c ->
@@ -135,13 +134,12 @@ let emit_sim_core_json () =
       "max_residency": %d,
       "residency_at_end": %d
     },
-    "heap_pop_minor_words": %.1f,
-    "obs": %s
+    "heap_pop_minor_words": %.1f
   },
 |}
       c.ch_n c.ch_target c.ch_events c.ch_elapsed c.ch_eps c.ch_queue_hw c.ch_set c.ch_fired
       c.ch_cancelled c.ch_orphaned c.ch_reclaimed c.ch_capacity c.ch_max_residency
-      c.ch_residency_end c.ch_heap_pop_words c.ch_obs_json);
+      c.ch_residency_end c.ch_heap_pop_words);
   (match !e20_result with
   | None -> Printf.fprintf oc "  \"e20\": null\n"
   | Some rows ->
@@ -260,21 +258,6 @@ let sim_core () =
         ch_max_residency = max_residency;
         ch_residency_end = residency_end;
         ch_heap_pop_words = heap_pop_words;
-        ch_obs_json =
-          (* The churn mix is timer-only: it sends no messages and opens no
-             spans, so the message-path histograms (engine.delivery_latency,
-             engine.span_duration) are structurally zero here.  Publishing
-             all-zero counts read as a broken recording site — deliveries do
-             record into the histogram, test/test_sim.ml pins that — so
-             drop never-observed histograms from this snapshot instead. *)
-          (let snap = Obs.Registry.snapshot (Sim.Engine.obs engine) in
-           Obs.Registry.json_of_snapshot
-             (List.filter
-                (fun (_, v) ->
-                  match v with
-                  | Obs.Registry.Histogram { count = 0; _ } -> false
-                  | _ -> true)
-                snap));
       };
   emit_sim_core_json ();
   Tables.note "Wrote %s (SIM_CORE_EVENTS=%d; set the env var for smoke runs)." sim_core_json_file
@@ -293,17 +276,7 @@ let sim_core () =
 
 let e20_default_events = 500_000
 
-let e20_sizes () =
-  (* ECFD_E20_NS="100,1000" trims the sweep (CI's alloc gate needs only the
-     n=1000 cell). *)
-  let parse s =
-    let parts = String.split_on_char ',' (String.trim s) in
-    let ns = List.filter_map int_of_string_opt (List.map String.trim parts) in
-    match List.filter (fun n -> n > 0) ns with [] -> None | ns -> Some ns
-  in
-  match Sys.getenv_opt "ECFD_E20_NS" with
-  | Some s -> ( match parse s with Some ns -> ns | None -> [ 100; 1_000; 10_000 ])
-  | None -> [ 100; 1_000; 10_000 ]
+let e20_sizes = [ 100; 1_000; 10_000 ]
 
 let e20_events () =
   match Sys.getenv_opt "ECFD_E20_EVENTS" with
@@ -366,37 +339,14 @@ let e20_run_one ~n ~events =
     hb_capacity = Sim.Engine.timer_table_capacity engine;
   }
 
-let alloc_budget_file () =
-  match Sys.getenv_opt "ECFD_ALLOC_BUDGET_FILE" with
-  | Some f -> f
-  | None -> "bench/alloc_budget.json"
+let alloc_budget_file = "bench/alloc_budget.json"
 
-(* Minimal extraction of "minor_words_per_event_budget": <float> from the
-   checked-in budget JSON — no JSON dependency in the bench harness. *)
+(* The "minor_words_per_event_budget" of the checked-in budget file;
+   [None] when the file is missing, malformed or lacks the key. *)
 let read_alloc_budget file =
-  let ic = open_in file in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let key = "\"minor_words_per_event_budget\"" in
-  let rec find i =
-    if i + String.length key > String.length s then None
-    else if String.sub s i (String.length key) = key then Some (i + String.length key)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some i ->
-    let i = ref i in
-    while !i < String.length s && (s.[!i] = ':' || s.[!i] = ' ' || s.[!i] = '\t') do incr i done;
-    let j = ref !i in
-    while
-      !j < String.length s
-      && (match s.[!j] with '0' .. '9' | '.' | '-' | 'e' | 'E' | '+' -> true | _ -> false)
-    do
-      incr j
-    done;
-    float_of_string_opt (String.sub s !i (!j - !i))
+  match Json_min.parse (In_channel.with_open_bin file In_channel.input_all) with
+  | json -> Option.bind (Json_min.member "minor_words_per_event_budget" json) Json_min.to_float
+  | exception (Sys_error _ | Json_min.Parse_error _) -> None
 
 (* CI alloc gate: compare the e20 n=1000 cell against the checked-in
    budget; >10% over is a regression and fails the run. *)
@@ -405,12 +355,12 @@ let e20_alloc_gate rows =
   | Some "1" -> (
     match List.find_opt (fun r -> r.hb_n = 1_000) rows with
     | None ->
-      Printf.eprintf "e20 alloc gate: no n=1000 row (set ECFD_E20_NS to include 1000)\n%!";
+      Printf.eprintf "e20 alloc gate: no n=1000 row (raise ECFD_E20_BUDGET_S)\n%!";
       exit 2
     | Some r -> (
-      match read_alloc_budget (alloc_budget_file ()) with
+      match read_alloc_budget alloc_budget_file with
       | None ->
-        Printf.eprintf "e20 alloc gate: cannot read budget from %s\n%!" (alloc_budget_file ());
+        Printf.eprintf "e20 alloc gate: cannot read budget from %s\n%!" alloc_budget_file;
         exit 2
       | Some budget ->
         let limit = budget *. 1.10 in
@@ -443,7 +393,7 @@ let e20 () =
       (fun (rows, skipped) n ->
         if spent () > budget then (rows, n :: skipped)
         else (e20_run_one ~n ~events :: rows, skipped))
-      ([], []) (e20_sizes ())
+      ([], []) e20_sizes
   in
   let rows = List.rev rows and skipped = List.rev skipped in
   if skipped <> [] then

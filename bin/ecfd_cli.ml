@@ -67,43 +67,81 @@ let dump_trace path trace =
       Format.printf "trace written to %s (%d events)@." file (Sim.Trace.length trace))
     path
 
-let detector_conv =
-  let all =
-    [
-      ("heartbeat-p", `Heartbeat_p);
-      ("ring-s", `Ring_s);
-      ("ring-w", `Ring_w);
-      ("leader-s", `Leader_s);
-      ("stable-omega", `Stable_omega);
-      ("ec-from-stable", `Ec_from_stable);
-      ("ec-from-leader", `Ec_from_leader);
-      ("ec-from-ring", `Ec_from_ring);
-      ("ec-from-omega-chu", `Ec_from_omega_chu);
-      ("ec-from-heartbeat", `Ec_from_heartbeat);
-      ("ec-from-perfect", `Ec_from_perfect);
-      ("scripted-stable", `Scripted_stable);
-    ]
-  in
-  Arg.enum all
+(* --- file helpers shared by the subcommands that read or write files --- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Exit 2 when an input cannot be understood, as every reading
+   subcommand does. *)
+let die ~cmd fmt = Printf.ksprintf (fun msg -> Printf.eprintf "ecfd %s: %s\n" cmd msg; exit 2) fmt
+
+let parse_json_or_die ~cmd what text =
+  try Json_min.parse text with Json_min.Parse_error msg -> die ~cmd "%s: %s" what msg
+
+let load_trace_or_die ~cmd path =
+  try Tracequery_core.Trace_file.load path
+  with Tracequery_core.Trace_file.Bad_trace msg -> die ~cmd "%s: %s" path msg
+
+(* Write [text] to [out] (stdout when [None]); [on_file] runs after a file
+   was written, for the subcommand's confirmation line. *)
+let write_output ?(on_file = ignore) out text =
+  match out with
+  | None -> print_string text
+  | Some file ->
+    Out_channel.with_open_bin file (fun oc -> output_string oc text);
+    on_file file
+
+(* One table per choice: the CLI name and the scenario value it selects.
+   [Ec_from_perfect]'s crash schedule is only known once the run's
+   --crash flags are read, so the table holds it empty and
+   [detector_for] fills it in. *)
+let detectors =
+  [
+    ("heartbeat-p", Scenario.Heartbeat_p);
+    ("ring-s", Scenario.Ring_s);
+    ("ring-w", Scenario.Ring_w);
+    ("leader-s", Scenario.Leader_s);
+    ("stable-omega", Scenario.Stable_omega);
+    ("ec-from-stable", Scenario.Ec_from_stable);
+    ("ec-from-leader", Scenario.Ec_from_leader);
+    ("ec-from-ring", Scenario.Ec_from_ring);
+    ("ec-from-omega-chu", Scenario.Ec_from_omega_chu);
+    ("ec-from-heartbeat", Scenario.Ec_from_heartbeat);
+    ("ec-from-perfect", Scenario.Ec_from_perfect Sim.Fault.none);
+    ("scripted-stable", Scenario.Scripted_stable 0);
+  ]
+
+let protocols =
+  let ec = Ecfd.Ec_consensus.default_params in
+  [
+    ("ec", Scenario.Ec ec);
+    ("ec-merged", Scenario.Ec { ec with merge_phase01 = true });
+    ("ec-strict", Scenario.Ec { ec with wait_mode = Ecfd.Ec_consensus.Strict_majority });
+    ("ct", Scenario.Ct);
+    ("mr", Scenario.Mr);
+    ("hr", Scenario.Hr);
+  ]
+
+let choice_arg table ~default ~names ~docv ~doc =
+  let doc = Printf.sprintf "%s: %s." doc (String.concat " | " (List.map fst table)) in
+  Arg.(value & opt (enum table) (List.assoc default table) & info names ~docv ~doc)
+
+let detector_arg =
+  choice_arg detectors ~default:"ec-from-leader" ~names:[ "detector"; "d" ] ~docv:"DETECTOR"
+    ~doc:"Which detector to install"
+
+let protocol_arg =
+  choice_arg protocols ~default:"ec" ~names:[ "protocol"; "p" ] ~docv:"PROTO"
+    ~doc:"Which consensus protocol to run"
+
+let detector_for ~schedule = function
+  | Scenario.Ec_from_perfect _ -> Scenario.Ec_from_perfect schedule
+  | detector -> detector
 
 let net ~seed ~gst ~delta = { (Scenario.chaotic_net ~seed ~gst ()) with delta }
 
-let to_detector ~schedule = function
-  | `Heartbeat_p -> Scenario.Heartbeat_p
-  | `Ring_s -> Scenario.Ring_s
-  | `Ring_w -> Scenario.Ring_w
-  | `Leader_s -> Scenario.Leader_s
-  | `Stable_omega -> Scenario.Stable_omega
-  | `Ec_from_stable -> Scenario.Ec_from_stable
-  | `Ec_from_leader -> Scenario.Ec_from_leader
-  | `Ec_from_ring -> Scenario.Ec_from_ring
-  | `Ec_from_omega_chu -> Scenario.Ec_from_omega_chu
-  | `Ec_from_heartbeat -> Scenario.Ec_from_heartbeat
-  | `Ec_from_perfect -> Scenario.Ec_from_perfect schedule
-  | `Scripted_stable -> Scenario.Scripted_stable 0
-
-let print_trace trace =
-  Sim.Trace.iter trace (fun e -> Format.printf "%a@." Sim.Trace.pp_event e)
+let print_event indent e = Format.printf "%s%a@." indent Sim.Trace.pp_event e
+let print_trace trace = Sim.Trace.iter trace (print_event "")
 
 let print_matrix run =
   Format.printf "@.Property matrix:@.";
@@ -128,7 +166,7 @@ let print_matrix run =
 let fd_cmd =
   let run detector n seed gst delta horizon crashes verbose timeline dump =
     let schedule = Sim.Fault.crashes crashes in
-    let detector = to_detector ~schedule detector in
+    let detector = detector_for ~schedule detector in
     let _, run, stats =
       Scenario.fd_run ~net:(net ~seed ~gst ~delta) ~crashes:schedule ~horizon ~n ~detector ()
     in
@@ -152,37 +190,16 @@ let fd_cmd =
     (Cmd.info "fd" ~doc)
     Term.(
       const run
-      $ Arg.(
-          value
-          & opt detector_conv `Ec_from_leader
-          & info [ "detector"; "d" ] ~docv:"DETECTOR" ~doc:"Which detector to install.")
+      $ detector_arg
       $ n_arg $ seed_arg $ gst_arg $ delta_arg $ horizon_arg $ crashes_arg $ verbose_arg
       $ timeline_arg $ dump_trace_arg)
 
 (* --- consensus subcommand --- *)
 
-let protocol_conv =
-  Arg.enum
-    [
-      ("ec", `Ec); ("ec-merged", `Ec_merged); ("ec-strict", `Ec_strict); ("ct", `Ct); ("mr", `Mr); ("hr", `Hr);
-    ]
-
 let consensus_cmd =
   let run protocol detector n seed gst delta horizon crashes verbose timeline dump =
     let schedule = Sim.Fault.crashes crashes in
-    let detector = to_detector ~schedule detector in
-    let protocol =
-      match protocol with
-      | `Ec -> Scenario.Ec Ecfd.Ec_consensus.default_params
-      | `Ec_merged ->
-        Scenario.Ec { Ecfd.Ec_consensus.default_params with merge_phase01 = true }
-      | `Ec_strict ->
-        Scenario.Ec
-          { Ecfd.Ec_consensus.default_params with wait_mode = Ecfd.Ec_consensus.Strict_majority }
-      | `Ct -> Scenario.Ct
-      | `Mr -> Scenario.Mr
-      | `Hr -> Scenario.Hr
-    in
+    let detector = detector_for ~schedule detector in
     let r =
       Scenario.run_consensus ~net:(net ~seed ~gst ~delta) ~crashes:schedule ~horizon ~n ~detector
         ~protocol ()
@@ -219,25 +236,15 @@ let consensus_cmd =
     List.iter
       (fun (round, sends) -> Format.printf "  round %d: %d@." round sends)
       (Spec.Round_metrics.sends_by_round r.Scenario.trace
-         ~component:
-           (match protocol with
-           | Scenario.Ec _ -> Ecfd.Ec_consensus.component
-           | Scenario.Ct -> Consensus.Ct_consensus.component
-           | Scenario.Mr -> Consensus.Mr_consensus.component
-           | Scenario.Hr -> Consensus.Hr_consensus.component))
+         ~component:(Scenario.protocol_component protocol))
   in
   let doc = "Solve one instance of Uniform Consensus and check its properties." in
   Cmd.v
     (Cmd.info "consensus" ~doc)
     Term.(
       const run
-      $ Arg.(
-          value & opt protocol_conv `Ec
-          & info [ "protocol"; "p" ] ~docv:"PROTO" ~doc:"ec | ec-merged | ec-strict | ct | mr.")
-      $ Arg.(
-          value
-          & opt detector_conv `Ec_from_leader
-          & info [ "detector"; "d" ] ~docv:"DETECTOR" ~doc:"Which detector to install.")
+      $ protocol_arg
+      $ detector_arg
       $ n_arg $ seed_arg $ gst_arg $ delta_arg $ horizon_arg $ crashes_arg $ verbose_arg
       $ timeline_arg $ dump_trace_arg)
 
@@ -284,18 +291,7 @@ let transform_cmd =
 let trace_cmd =
   let run protocol detector n seed gst delta horizon crashes format out =
     let schedule = Sim.Fault.crashes crashes in
-    let detector = to_detector ~schedule detector in
-    let protocol =
-      match protocol with
-      | `Ec -> Scenario.Ec Ecfd.Ec_consensus.default_params
-      | `Ec_merged -> Scenario.Ec { Ecfd.Ec_consensus.default_params with merge_phase01 = true }
-      | `Ec_strict ->
-        Scenario.Ec
-          { Ecfd.Ec_consensus.default_params with wait_mode = Ecfd.Ec_consensus.Strict_majority }
-      | `Ct -> Scenario.Ct
-      | `Mr -> Scenario.Mr
-      | `Hr -> Scenario.Hr
-    in
+    let detector = detector_for ~schedule detector in
     let r =
       Scenario.run_consensus ~net:(net ~seed ~gst ~delta) ~crashes:schedule ~horizon ~n ~detector
         ~protocol ()
@@ -305,30 +301,19 @@ let trace_cmd =
       | `Chrome -> Sim.Trace_export.chrome_string r.Scenario.trace
       | `Jsonl -> Sim.Trace_export.jsonl_string r.Scenario.trace
     in
-    match out with
-    | None -> print_string rendered
-    | Some file ->
-      let oc = open_out_bin file in
-      output_string oc rendered;
-      close_out oc;
-      Format.eprintf "trace written to %s (%d events)@." file
-        (Sim.Trace.length r.Scenario.trace)
+    write_output out rendered ~on_file:(fun file ->
+        Format.eprintf "trace written to %s (%d events)@." file (Sim.Trace.length r.Scenario.trace))
   in
   let doc =
     "Run a consensus scenario and export its trace (Chrome trace-event JSON for Perfetto, or \
-     JSONL for ecfd-trace)."
+     JSONL for $(b,filter), $(b,ancestry) and $(b,rollup))."
   in
   Cmd.v
     (Cmd.info "trace" ~doc)
     Term.(
       const run
-      $ Arg.(
-          value & opt protocol_conv `Ec
-          & info [ "protocol"; "p" ] ~docv:"PROTO" ~doc:"ec | ec-merged | ec-strict | ct | mr | hr.")
-      $ Arg.(
-          value
-          & opt detector_conv `Ec_from_leader
-          & info [ "detector"; "d" ] ~docv:"DETECTOR" ~doc:"Which detector to install.")
+      $ protocol_arg
+      $ detector_arg
       $ n_arg $ seed_arg $ gst_arg $ delta_arg $ horizon_arg $ crashes_arg
       $ Arg.(
           value
@@ -344,7 +329,7 @@ let trace_cmd =
 let qos_cmd =
   let run detector n seed gst delta horizon crashes output =
     let schedule = Sim.Fault.crashes crashes in
-    let detector = to_detector ~schedule detector in
+    let detector = detector_for ~schedule detector in
     let handle, fdrun, _stats =
       Scenario.fd_run ~net:(net ~seed ~gst ~delta) ~crashes:schedule ~horizon ~n ~detector ()
     in
@@ -354,13 +339,7 @@ let qos_cmd =
       Obs.Rollup.to_json
         [ { Obs.Rollup.name = Scenario.detector_name detector; component; report } ]
     in
-    match output with
-    | None -> print_string json
-    | Some file ->
-      let oc = open_out_bin file in
-      output_string oc json;
-      close_out oc;
-      Format.eprintf "qos rollup written to %s@." file
+    write_output output json ~on_file:(Format.eprintf "qos rollup written to %s@.")
   in
   let doc =
     "Run a failure detector and emit its QoS / SLA rollup as JSON (detection time, mistake \
@@ -370,15 +349,181 @@ let qos_cmd =
     (Cmd.info "qos" ~doc)
     Term.(
       const run
-      $ Arg.(
-          value
-          & opt detector_conv `Ec_from_leader
-          & info [ "detector"; "d" ] ~docv:"DETECTOR" ~doc:"Which detector to install.")
+      $ detector_arg
       $ n_arg $ seed_arg $ gst_arg $ delta_arg $ horizon_arg $ crashes_arg
       $ Arg.(
           value
           & opt (some string) None
           & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Write the JSON to $(docv) instead of stdout."))
+
+(* --- queries over JSONL trace exports: filter, ancestry, diff, validate,
+   rollup.  Each export line decodes back into a Sim.Trace event, so these
+   run on the same typed code as the in-process path, and --jsonl output
+   is re-emitted through Sim.Trace_export.jsonl_event. --- *)
+
+let file_arg ~n ~doc = Arg.(required & pos n (some file) None & info [] ~docv:"FILE" ~doc)
+
+let print_jsonl e =
+  let buf = Buffer.create 128 in
+  Sim.Trace_export.jsonl_event buf e;
+  print_string (Buffer.contents buf)
+
+let filter_cmd =
+  let run path component pid from_t to_t pretty =
+    List.iter
+      (if pretty then print_event "" else print_jsonl)
+      (Tracequery_core.Query.filter ?component ?pid ?from_t ?to_t
+         (load_trace_or_die ~cmd:"filter" path))
+  in
+  let doc = "Select events of a JSONL trace export by component, process, and time window." in
+  Cmd.v
+    (Cmd.info "filter" ~doc)
+    Term.(
+      const run
+      $ file_arg ~n:0 ~doc:"JSONL trace export."
+      $ Arg.(
+          value
+          & opt (some string) None
+          & info [ "component"; "c" ] ~docv:"NAME" ~doc:"Keep only this component's events.")
+      $ Arg.(
+          value
+          & opt (some int) None
+          & info [ "pid" ] ~docv:"P"
+              ~doc:"Keep events involving process $(docv) (0-based; link events match on either \
+                    endpoint).")
+      $ Arg.(
+          value & opt (some int) None & info [ "from" ] ~docv:"T" ~doc:"Discard events before T.")
+      $ Arg.(
+          value & opt (some int) None & info [ "to" ] ~docv:"T" ~doc:"Discard events after T.")
+      $ Arg.(
+          value & flag & info [ "pretty" ] ~doc:"Human-readable lines instead of JSONL."))
+
+let ancestry_cmd =
+  let run path seq pid jsonl =
+    let events = load_trace_or_die ~cmd:"ancestry" path in
+    let target =
+      match seq with
+      | Some s -> (
+        match Tracequery_core.Query.find_seq ~seq:s events with
+        | Some e -> e
+        | None -> die ~cmd:"ancestry" "no event with seq %d" s)
+      | None -> (
+        match Tracequery_core.Query.first_decide ?pid events with
+        | Some e -> e
+        | None -> die ~cmd:"ancestry" "no decide event in %s" path)
+    in
+    let cone = Tracequery_core.Query.ancestry events ~seq:target.Sim.Trace.seq in
+    if jsonl then List.iter print_jsonl cone
+    else begin
+      Format.printf "happens-before cone of %a (%d of %d events):@." Sim.Trace.pp_event target
+        (List.length cone) (List.length events);
+      List.iter (print_event "  ") cone
+    end
+  in
+  let doc = "Print the happens-before cone of an event (default: the first decide)." in
+  Cmd.v
+    (Cmd.info "ancestry" ~doc)
+    Term.(
+      const run
+      $ file_arg ~n:0 ~doc:"JSONL trace export."
+      $ Arg.(
+          value
+          & opt (some int) None
+          & info [ "seq" ] ~docv:"N" ~doc:"Target event by sequence number.")
+      $ Arg.(
+          value
+          & opt (some int) None
+          & info [ "pid" ] ~docv:"P" ~doc:"With no --seq: first decide at this process.")
+      $ Arg.(value & flag & info [ "jsonl" ] ~doc:"Emit the cone as JSONL, no header."))
+
+let diff_cmd =
+  let run a b =
+    let lines = Tracequery_core.Trace_file.read_lines in
+    match Tracequery_core.Query.diff_lines (lines a) (lines b) with
+    | None -> Printf.printf "identical (%s = %s)\n" a b
+    | Some { line; left; right } ->
+      Printf.printf "traces diverge at line %d:\n" line;
+      Printf.printf "  %s: %s\n" a (Option.value left ~default:"<end of file>");
+      Printf.printf "  %s: %s\n" b (Option.value right ~default:"<end of file>");
+      exit 1
+  in
+  let doc = "Compare two trace exports line by line; exit 1 at the first divergence." in
+  Cmd.v
+    (Cmd.info "diff" ~doc)
+    Term.(
+      const run
+      $ file_arg ~n:0 ~doc:"First export."
+      $ file_arg ~n:1 ~doc:"Second export.")
+
+let validate_cmd =
+  let run path schema_path jsonl =
+    let parse = parse_json_or_die ~cmd:"validate" in
+    let schema = parse schema_path (read_file schema_path) in
+    let failures = ref 0 in
+    let check what value =
+      List.iter
+        (fun e ->
+          incr failures;
+          Printf.printf "%s: %s\n" what (Format.asprintf "%a" Tracequery_core.Schema.pp_error e))
+        (Tracequery_core.Schema.check ~schema value)
+    in
+    if jsonl then
+      List.iteri
+        (fun i line ->
+          if String.trim line <> "" then
+            check (Printf.sprintf "%s:%d" path (i + 1)) (parse path line))
+        (Tracequery_core.Trace_file.read_lines path)
+    else check path (parse path (read_file path));
+    if !failures = 0 then Printf.printf "%s: valid\n" path else exit 1
+  in
+  let doc = "Validate an export against a JSON schema (whole file, or per line with --jsonl)." in
+  Cmd.v
+    (Cmd.info "validate" ~doc)
+    Term.(
+      const run
+      $ file_arg ~n:0 ~doc:"File to validate."
+      $ Arg.(
+          required
+          & opt (some file) None
+          & info [ "schema" ] ~docv:"SCHEMA" ~doc:"JSON schema file (docs/schemas/).")
+      $ Arg.(
+          value & flag
+          & info [ "jsonl" ] ~doc:"Validate every line as its own document (JSONL exports)."))
+
+let rollup_cmd =
+  let run path component n horizon output =
+    write_output output
+      (Tracequery_core.Query.rollup ?n ?horizon ?component (load_trace_or_die ~cmd:"rollup" path))
+  in
+  let doc =
+    "QoS / SLA rollup of a JSONL trace export (detection time, mistake rate, availability; \
+     one scenario per failure-detector component; schema docs/schemas/qos.schema.json), \
+     computed by the same code as $(b,qos)."
+  in
+  Cmd.v
+    (Cmd.info "rollup" ~doc)
+    Term.(
+      const run
+      $ file_arg ~n:0 ~doc:"JSONL trace export."
+      $ Arg.(
+          value
+          & opt (some string) None
+          & info [ "component"; "c" ] ~docv:"NAME"
+              ~doc:"Roll up only this detector component (default: every component seen).")
+      $ Arg.(
+          value
+          & opt (some int) None
+          & info [ "n" ] ~docv:"N"
+              ~doc:"Process count (default: inferred as max pid in the trace + 1).")
+      $ Arg.(
+          value
+          & opt (some int) None
+          & info [ "horizon" ] ~docv:"T"
+              ~doc:"Run horizon in ticks (default: inferred as the last event time).")
+      $ Arg.(
+          value
+          & opt (some string) None
+          & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Write the JSON here instead of stdout."))
 
 (* --- bench-diff subcommand --- *)
 
@@ -386,8 +531,8 @@ let qos_cmd =
    BENCH_experiments.json) into (path, number) leaves.  Array elements
    are keyed by their identifying fields (name / n / observer / subject) when
    present, so rows still line up after a sweep is extended. *)
-let rec bench_flatten prefix (j : Tracequery_core.Json_min.t) acc =
-  let open Tracequery_core.Json_min in
+let rec bench_flatten prefix (j : Json_min.t) acc =
+  let open Json_min in
   match j with
   | Int v -> (prefix, float_of_int v) :: acc
   | Float v -> (prefix, v) :: acc
@@ -446,18 +591,7 @@ let bench_direction path =
 
 let bench_diff_cmd =
   let run file_a file_b threshold =
-    let parse path =
-      let ic = open_in_bin path in
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      try Tracequery_core.Json_min.parse text
-      with Tracequery_core.Json_min.Parse_error msg ->
-        Printf.eprintf "ecfd bench-diff: %s: %s\n" path msg;
-        exit 2
-    in
+    let parse path = parse_json_or_die ~cmd:"bench-diff" path (read_file path) in
     let flat path =
       List.sort
         (fun (pa, _) (pb, _) -> String.compare pa pb)
@@ -527,18 +661,7 @@ let bench_diff_cmd =
 let sweep_cmd =
   let run protocol detector param values seeds n delta horizon domains =
     Option.iter Exec.Pool.set_default_domains domains;
-    let protocol =
-      match protocol with
-      | `Ec -> Scenario.Ec Ecfd.Ec_consensus.default_params
-      | `Ec_merged -> Scenario.Ec { Ecfd.Ec_consensus.default_params with merge_phase01 = true }
-      | `Ec_strict ->
-        Scenario.Ec
-          { Ecfd.Ec_consensus.default_params with wait_mode = Ecfd.Ec_consensus.Strict_majority }
-      | `Ct -> Scenario.Ct
-      | `Mr -> Scenario.Mr
-      | `Hr -> Scenario.Hr
-    in
-    let detector = to_detector ~schedule:Sim.Fault.none detector in
+    
     Format.printf "sweep of %s for %s over %s (%d seeds per point)@.@." param
       (Scenario.protocol_name protocol)
       (Scenario.detector_name detector)
@@ -599,13 +722,8 @@ let sweep_cmd =
     (Cmd.info "sweep" ~doc)
     Term.(
       const run
-      $ Arg.(
-          value & opt protocol_conv `Ec
-          & info [ "protocol"; "p" ] ~docv:"PROTO" ~doc:"ec | ec-merged | ec-strict | ct | mr | hr.")
-      $ Arg.(
-          value
-          & opt detector_conv `Ec_from_leader
-          & info [ "detector"; "d" ] ~docv:"DETECTOR" ~doc:"Which detector to install.")
+      $ protocol_arg
+      $ detector_arg
       $ Arg.(
           value & opt string "gst"
           & info [ "param" ] ~docv:"PARAM" ~doc:"Which parameter to sweep: gst or n.")
@@ -660,8 +778,8 @@ let main =
   Cmd.group
     (Cmd.info "ecfd" ~doc ~version:"1.0.0")
     [
-      fd_cmd; consensus_cmd; transform_cmd; sweep_cmd; trace_cmd; qos_cmd; bench_diff_cmd;
-      check_cmd;
+      fd_cmd; consensus_cmd; transform_cmd; sweep_cmd; trace_cmd; qos_cmd; filter_cmd;
+      ancestry_cmd; diff_cmd; validate_cmd; rollup_cmd; bench_diff_cmd; check_cmd;
     ]
 
 let () = exit (Cmd.eval main)

@@ -114,17 +114,13 @@ let observe_direct h v =
   if v > h.h_max then h.h_max <- v
 
 (* The hooked branches allocate the [op] box by design; the [None]
-   branches stay on the direct allocation-free mutations, which is what
-   the engine's [@alloc.zero] roots actually execute. *)
+   branches stay on the direct allocation-free mutations. *)
 
 let incr c =
   match c.c_hook.hook with
   | None -> incr_direct c
   | Some f ->
-    (if not (f (Op_incr c)) then incr_direct c)
-    [@check.allow extern
-        "observer capture: op boxing happens only with a hook installed, never on \
-         the unobserved hot path"]
+    if not (f (Op_incr c)) then incr_direct c
 
 let add c k =
   match c.c_hook.hook with
@@ -142,10 +138,7 @@ let set_max g v =
   match g.g_hook.hook with
   | None -> set_max_direct g v
   | Some f ->
-    (if not (f (Op_set_max (g, v))) then set_max_direct g v)
-    [@check.allow extern
-        "observer capture: op boxing happens only with a hook installed, never on \
-         the unobserved hot path"]
+    if not (f (Op_set_max (g, v))) then set_max_direct g v
 
 let observe h v =
   match h.h_hook.hook with

@@ -1,7 +1,7 @@
 (* SLA rollups over Qos reports, rendered as deterministic JSON
    (docs/schemas/qos.schema.json).  The same renderer backs the three
-   surfaces — `ecfd qos`, the tracequery `rollup` subcommand and bench
-   e22 — so their outputs agree byte-for-byte on identical traces. *)
+   surfaces — `ecfd qos`, `ecfd rollup` and bench e22 — so their
+   outputs agree byte-for-byte on identical traces. *)
 
 type agg = {
   a_pairs : int;

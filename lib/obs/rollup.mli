@@ -3,8 +3,8 @@
     One {!scenario} per detector run (named, e.g. ["e1.heartbeat.seed1"]);
     {!to_json} renders a list of them as the [BENCH_qos.json] document
     validated by [docs/schemas/qos.schema.json].  The renderer is shared
-    by `ecfd qos`, the tracequery `rollup` subcommand and bench e22, so
-    identical traces produce byte-identical rollups on every surface. *)
+    by `ecfd qos`, `ecfd rollup` and bench e22, so identical traces
+    produce byte-identical rollups on every surface. *)
 
 type agg = {
   a_pairs : int;  (** Ordered (observer, subject) pairs, [n*(n-1)]. *)

@@ -44,12 +44,9 @@ val stats : t -> Stats.t
 val obs : t -> Obs.Registry.t
 (** The engine's metric registry.  The engine itself feeds
     [engine.delivery_latency] (per non-local delivery),
-    [engine.span_duration] (on {!end_span}), the
-    [engine.queue_depth_high_water] / [engine.timer_residency_high_water]
-    gauges, and the timer lifecycle counters [engine.timer_set_total],
-    [engine.timer_fired_total], [engine.timer_cancelled_total] and
-    [engine.timer_orphaned_total]; components register their own metrics
-    here — with literal names (lint rule R6). *)
+    [engine.span_duration] (on {!end_span}); the timer lifecycle and
+    queue high-water counts live in {!stats} only.  Components register
+    their own metrics here — with literal names (rule R6). *)
 
 val link_description : t -> string
 

@@ -4,7 +4,8 @@
     simulation advances; the {!Spec} library evaluates the paper's
     completeness / accuracy / leader-election / consensus properties over
     the finished trace, and {!Trace_export} turns it into Chrome
-    trace-event JSON or JSONL for offline tooling ([ecfd-trace]).
+    trace-event JSON or JSONL for offline tooling ([ecfd filter],
+    [ancestry], [rollup]).
 
     Every recorded event is stamped with
 

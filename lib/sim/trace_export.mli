@@ -13,7 +13,8 @@
 
     - {b JSONL} ({!jsonl}): one flat JSON object per event, in seq order,
       carrying every field including the [seq]/[lc] stamps — the format
-      the [ecfd-trace] query tool (tools/tracequery) reads back.
+      the trace queries ([ecfd filter], [ancestry], [rollup];
+      tools/tracequery) decode back into {!Trace.event}s.
 
     Schemas for both live in [docs/schemas/] and are validated in CI. *)
 

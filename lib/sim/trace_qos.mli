@@ -14,5 +14,4 @@ val report : component:string -> n:int -> horizon:int -> Trace.t -> Obs.Qos.repo
 
 val components : Trace.t -> string list
 (** The distinct failure-detector components that recorded view changes,
-    in name order — the tracequery [rollup] subcommand emits one
-    scenario per entry. *)
+    in name order — [ecfd rollup] emits one scenario per entry. *)

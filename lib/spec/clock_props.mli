@@ -2,7 +2,7 @@
 
     {!Sim.Trace.record} maintains the [seq]/[lc] stamps; this module checks
     the guarantees those stamps are supposed to give downstream tooling
-    (the [ecfd-trace] ancestry query, the exporters):
+    (the [ecfd ancestry] query, the exporters):
 
     - {b sequence density}: [seq] is [0, 1, 2, ...] in order of occurrence;
     - {b per-process monotonicity}: the Lamport clocks of the events at any

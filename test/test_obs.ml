@@ -1,7 +1,8 @@
 (* The observability layer: Obs.Registry semantics, the two trace
    exporters against checked-in golden files (byte-exact, seeded run),
-   and the ecfd-trace query core (ancestry, diff, filter, schema) on a
-   crafted trace. *)
+   the JSONL reader (decode then re-encode is the identity), and the
+   trace query core behind `ecfd filter` / `ancestry` / `diff` /
+   `validate` (ancestry, diff, filter, schema) on a crafted trace. *)
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -248,9 +249,110 @@ let golden_tests =
         let events = Tracequery_core.Trace_file.load "golden/trace_small.jsonl" in
         Alcotest.(check bool) "non-empty" true (events <> []);
         List.iteri
-          (fun i (e : Tracequery_core.Trace_file.event) ->
-            Alcotest.(check int) "seq is dense" i e.seq)
+          (fun i (e : Sim.Trace.event) -> Alcotest.(check int) "seq is dense" i e.seq)
           events);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* JSONL reader: the exact inverse of the exporter                     *)
+(* ------------------------------------------------------------------ *)
+
+let reencode events =
+  let buf = Buffer.create 4096 in
+  List.iter (Sim.Trace_export.jsonl_event buf) events;
+  Buffer.contents buf
+
+(* One event of every body kind, with strings that need escaping: a
+   quote, a backslash, a newline, a tab and control characters. *)
+let every_kind_trace () =
+  let t = Sim.Trace.create () in
+  let odd = "q\"uote \\ back\nnew\ttab\001ctl\031" in
+  List.iter (Sim.Trace.record t)
+    [
+      Sim.Trace.Propose { at = 0; pid = 0; value = 7 };
+      Send { at = 1; src = 0; dst = 2; msg = 0; component = odd; tag = "t\"ag" };
+      Deliver { at = 3; src = 0; dst = 2; msg = 0; component = odd; tag = "t\"ag" };
+      Send { at = 4; src = 2; dst = 1; msg = 1; component = "c"; tag = "x" };
+      Drop { at = 5; src = 2; dst = 1; msg = 1; component = "c"; tag = "x"; reason = odd };
+      Crash { at = 6; pid = 1 };
+      Fd_view
+        {
+          at = 7;
+          pid = 0;
+          component = "fd.x";
+          suspected = Sim.Pid.set_of_list [ 2; 1 ];
+          trusted = Some 0;
+        };
+      Fd_view
+        { at = 8; pid = 2; component = "fd.x"; suspected = Sim.Pid.Set.empty; trusted = None };
+      Note { at = 9; pid = 2; tag = "n\\ote"; detail = odd };
+      Span_begin { at = 10; pid = 0; component = "consensus.ec"; span = 0; name = odd };
+      Decide { at = 11; pid = 0; value = 7; round = 1 };
+      Span_end { at = 12; pid = 0; component = "consensus.ec"; span = 0; name = odd };
+    ];
+  t
+
+let with_temp_file contents f =
+  let path = Filename.temp_file "ecfd_trace" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      f path)
+
+let load_error path =
+  match Tracequery_core.Trace_file.load path with
+  | _ -> Alcotest.fail "expected a load error"
+  | exception Tracequery_core.Trace_file.Bad_trace msg -> msg
+
+let trace_file_tests =
+  [
+    tc "decode then re-encode is the identity on the golden exports" (fun () ->
+        List.iter
+          (fun path ->
+            let events = Tracequery_core.Trace_file.load path in
+            Alcotest.(check string) path (read_file path) (reencode events);
+            (* Re-recording the decoded bodies reproduces the stamps. *)
+            let t = Sim.Trace.create () in
+            List.iter (fun (e : Sim.Trace.event) -> Sim.Trace.record t e.body) events;
+            Alcotest.(check string) (path ^ " re-recorded") (read_file path)
+              (Sim.Trace_export.jsonl_string t))
+          [ "golden/trace_small.jsonl"; "golden/TRACE_e4.jsonl" ]);
+    tc "decode then re-encode is the identity on every event kind" (fun () ->
+        let jsonl = Sim.Trace_export.jsonl_string (every_kind_trace ()) in
+        let events =
+          Tracequery_core.Trace_file.of_lines (String.split_on_char '\n' jsonl)
+        in
+        Alcotest.(check int) "12 events" 12 (List.length events);
+        Alcotest.(check string) "re-encoded" jsonl (reencode events);
+        Alcotest.(check bool)
+          "the note keeps its escaped detail" true
+          (List.exists
+             (fun (e : Sim.Trace.event) ->
+               match e.body with
+               | Note { detail; _ } -> String.equal detail "q\"uote \\ back\nnew\ttab\001ctl\031"
+               | _ -> false)
+             events));
+    tc "load errors name the physical line, past blank lines" (fun () ->
+        let line seq = Printf.sprintf {|{"seq":%d,"lc":1,"type":"crash","at":0,"pid":0}|} seq in
+        with_temp_file
+          (String.concat "\n" [ line 0; ""; line 1; line 2; "{not json"; "" ])
+          (fun path ->
+            let msg = load_error path in
+            Alcotest.(check bool)
+              ("line 5 named: " ^ msg)
+              true
+              (String.starts_with ~prefix:"line 5:" msg));
+        with_temp_file
+          (String.concat "\n" [ line 0; ""; {|{"seq":1,"lc":1,"type":"bogus","at":0}|} ])
+          (fun path ->
+            Alcotest.(check string) "unknown type rejected" "line 3: unknown event type \"bogus\""
+              (load_error path));
+        with_temp_file
+          {|{"seq":0,"lc":1,"type":"send","at":0,"src":0,"dst":-1,"msg":0}|}
+          (fun path ->
+            Alcotest.(check string) "negative pid rejected" "line 1: negative \"dst\""
+              (load_error path)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -275,7 +377,7 @@ let crafted () =
     (fun i line -> Tracequery_core.Trace_file.event_of_line ~lineno:(i + 1) line)
     crafted_lines
 
-let seqs events = List.map (fun (e : Tracequery_core.Trace_file.event) -> e.seq) events
+let seqs events = List.map (fun (e : Sim.Trace.event) -> e.seq) events
 
 let query_tests =
   [
@@ -313,11 +415,11 @@ let query_tests =
         | _ -> Alcotest.fail "expected the right file to run long at line 8");
     tc "schema check flags missing fields and type mismatches" (fun () ->
         let schema =
-          Tracequery_core.Json_min.parse
+          Json_min.parse
             {|{"type":"object","required":["seq"],"properties":{"seq":{"type":"integer","minimum":0}}}|}
         in
         let check s =
-          Tracequery_core.Schema.check ~schema (Tracequery_core.Json_min.parse s)
+          Tracequery_core.Schema.check ~schema (Json_min.parse s)
         in
         Alcotest.(check int) "valid line" 0 (List.length (check {|{"seq":3}|}));
         Alcotest.(check bool) "missing seq flagged" true (check {|{"lc":1}|} <> []);
@@ -332,4 +434,5 @@ let suites =
     ("obs.quantiles", quantile_tests);
     ("obs.golden_exports", golden_tests);
     ("obs.tracequery", query_tests);
+    ("obs.trace_file", trace_file_tests);
   ]

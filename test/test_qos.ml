@@ -1,8 +1,8 @@
 (* Detector QoS analytics: the Obs.Qos fold math on hand-built event
-   streams, the Obs.Rollup aggregates, the tracequery rollup against a
+   streams, the Obs.Rollup aggregates, `ecfd rollup`'s query against a
    checked-in golden trace, and byte-identity of the in-process rollup
-   with the tracequery rollup of the same run's JSONL export (16
-   seeds). *)
+   with the rollup of the same run exported to JSONL and re-imported
+   (16 seeds). *)
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -179,7 +179,7 @@ let rollup_tests =
    shape of bench e22's e4 scenario — regenerate both files with
      ecfd trace -d heartbeat-p -p ec -n 4 --seed 4 --gst 100 --delta 8 \
        --crash 1@150 --crash 3@320 --horizon 500 -f jsonl -o TRACE_e4.jsonl
-     ecfd-trace rollup TRACE_e4.jsonl > TRACE_e4.rollup.json
+     ecfd rollup TRACE_e4.jsonl > TRACE_e4.rollup.json
    after any intentional trace or rollup change, and review the diff. *)
 
 let read_file path =
@@ -194,18 +194,18 @@ let golden_rollup_tests =
         Alcotest.(check string)
           "golden/TRACE_e4.rollup.json"
           (read_file "golden/TRACE_e4.rollup.json")
-          (Tracequery_core.Qos_rollup.of_lines
-             (Tracequery_core.Trace_file.read_lines "golden/TRACE_e4.jsonl")));
+          (Tracequery_core.Query.rollup
+             (Tracequery_core.Trace_file.load "golden/TRACE_e4.jsonl")));
     tc "the golden rollup sees both crashes" (fun () ->
         let json = read_file "golden/TRACE_e4.rollup.json" in
-        let j = Tracequery_core.Json_min.parse json in
-        match Tracequery_core.Json_min.member "scenarios" j with
-        | Some (Tracequery_core.Json_min.List [ s ]) -> (
-          match Tracequery_core.Json_min.member "detection" s with
+        let j = Json_min.parse json in
+        match Json_min.member "scenarios" j with
+        | Some (Json_min.List [ s ]) -> (
+          match Json_min.member "detection" s with
           | Some d ->
             Alcotest.(check int)
               "6 of 12 ordered pairs have a crashed subject" 6
-              (Tracequery_core.Json_min.int_field d "crashed_pairs" ~default:(-1))
+              (Json_min.int_field d "crashed_pairs" ~default:(-1))
           | None -> Alcotest.fail "scenario lacks a detection object")
         | _ -> Alcotest.fail "expected exactly one scenario");
   ]
@@ -214,11 +214,11 @@ let golden_rollup_tests =
 (* In-process rollup = rollup of the JSONL export                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Two independent paths from one run to rollup bytes: the in-process
-   fold over the trace (what `ecfd qos` and bench e22 do) and the
-   tracequery fold over the exported JSONL (what `ecfd-trace rollup`
-   does).  They share only the fold and the renderer, so any drift in
-   the exporter, the JSONL reader or the Trace adapter shows here. *)
+(* In-process vs exported-and-reimported: the rollup of a run's trace
+   (what `ecfd qos` and bench e22 do) against the rollup of the same run
+   exported to JSONL and decoded back (what `ecfd rollup` does).  Both
+   sides run the same fold and renderer, so what this pins is the export
+   round trip: any drift in the exporter or the JSONL reader shows here. *)
 let rollups ~seed =
   let n = 4 and horizon = 900 in
   let handle, fdrun, _stats =
@@ -232,8 +232,9 @@ let rollups ~seed =
   let report = Sim.Trace_qos.report ~component ~n ~horizon trace in
   let in_process = Obs.Rollup.to_json [ { Obs.Rollup.name = component; component; report } ] in
   let from_jsonl =
-    Tracequery_core.Qos_rollup.of_lines ~n ~horizon
-      (String.split_on_char '\n' (Sim.Trace_export.jsonl_string trace))
+    Tracequery_core.Query.rollup ~n ~horizon
+      (Tracequery_core.Trace_file.of_lines
+         (String.split_on_char '\n' (Sim.Trace_export.jsonl_string trace)))
   in
   (in_process, from_jsonl)
 
@@ -243,7 +244,7 @@ let differential_tests =
         for seed = 0 to 15 do
           let in_process, from_jsonl = rollups ~seed in
           Alcotest.(check string)
-            (Printf.sprintf "seed %d: Trace_qos = Qos_rollup.of_lines" seed)
+            (Printf.sprintf "seed %d: in-process = exported-and-reimported" seed)
             in_process from_jsonl
         done);
   ]

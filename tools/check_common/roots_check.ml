@@ -13,39 +13,16 @@
    ("Sim.Engine.step"); only module-level roots have one, so a stray
    [@alloc.zero] on a local binding is reported as drift too. *)
 
-(* Minimal extraction of the "static_roots" string array.  The budget
-   file is machine-edited JSON with no escapes in the strings we own;
-   bench/micro.ml reads its numeric fields with the same literal-key
-   scanning approach. *)
+(* The "static_roots" string array of the budget file. *)
 let static_roots_of_string s =
-  let find_from i sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i =
-      if i + m > n then None
-      else if String.sub s i m = sub then Some (i + m)
-      else go (i + 1)
-    in
-    go i
-  in
-  match find_from 0 "\"static_roots\"" with
+  match Json_min.member "static_roots" (Json_min.parse s) with
+  | exception Json_min.Parse_error msg -> Error msg
   | None -> Error "no \"static_roots\" key"
-  | Some i -> (
-    match String.index_from_opt s i '[' with
-    | None -> Error "\"static_roots\" is not followed by an array"
-    | Some open_bracket ->
-      let rec strings i acc =
-        if i >= String.length s then Error "unterminated \"static_roots\" array"
-        else
-          match s.[i] with
-          | ']' -> Ok (List.rev acc)
-          | '"' -> (
-            match String.index_from_opt s (i + 1) '"' with
-            | None -> Error "unterminated string in \"static_roots\""
-            | Some close ->
-              strings (close + 1) (String.sub s (i + 1) (close - i - 1) :: acc))
-          | _ -> strings (i + 1) acc
-      in
-      strings (open_bracket + 1) [])
+  | Some (Json_min.List items) -> (
+    match List.filter_map Json_min.to_string items with
+    | roots when List.length roots = List.length items -> Ok roots
+    | _ -> Error "\"static_roots\" holds a non-string")
+  | Some _ -> Error "\"static_roots\" is not an array"
 
 (* Compare the roots in [index] with the budget file.  [Error] if the
    file is missing or has no readable "static_roots" list — the gate

@@ -1,91 +1,66 @@
-(* Load a JSONL trace export (lib/sim/trace_export.ml) into typed events.
-   Every record keeps its original line so filters can re-emit input
-   bytes verbatim. *)
-
-type event = {
-  seq : int;
-  lc : int;
-  typ : string;
-  at : int;
-  pid : int option;
-      (* Process the event happens at: [src] of a send, [dst] of a deliver,
-         [pid] otherwise; [None] for a drop (it happens on the link). *)
-  src : int;
-  dst : int;
-  msg : int;  (* -1 when the event carries no message id. *)
-  span : int;
-  component : string;
-  tag : string;
-  name : string;
-  raw : string;
-}
+(* Load a JSONL trace export back into Sim.Trace events: each line decodes
+   to the exact inverse of Sim.Trace_export.jsonl_event, so re-emitting a
+   decoded event reproduces its input line byte for byte.  Fields a
+   hand-written line leaves out default to 0 / "" / none. *)
 
 exception Bad_trace of string
 
-let event_of_line ~lineno line =
+let event_of_line ~lineno line : Sim.Trace.event =
   let fail msg = raise (Bad_trace (Printf.sprintf "line %d: %s" lineno msg)) in
   let j = try Json_min.parse line with Json_min.Parse_error m -> fail m in
-  let int k ~default = Json_min.int_field j k ~default in
-  let str k ~default = Json_min.string_field j k ~default in
-  let typ =
+  let required k =
+    match Option.bind (Json_min.member k j) Json_min.to_int with
+    | Some v -> v
+    | None -> fail (Printf.sprintf "missing %S" k)
+  in
+  let int k = Json_min.int_field j k ~default:0 in
+  let str k = Json_min.string_field j k ~default:"" in
+  let pid k =
+    let p = int k in
+    if p < 0 then fail (Printf.sprintf "negative %S" k) else p
+  in
+  let seq = required "seq" and at = int "at" in
+  let component = str "component" and tag = str "tag" in
+  let body : Sim.Trace.body =
     match Option.bind (Json_min.member "type" j) Json_min.to_string with
-    | Some t -> t
     | None -> fail "missing \"type\""
-  in
-  let seq =
-    match Option.bind (Json_min.member "seq" j) Json_min.to_int with
-    | Some s -> s
-    | None -> fail "missing \"seq\""
-  in
-  let pid =
-    match typ with
-    | "send" -> Some (int "src" ~default:0)
-    | "deliver" -> Some (int "dst" ~default:0)
-    | "drop" -> None
-    | _ -> Option.bind (Json_min.member "pid" j) Json_min.to_int
-  in
-  {
-    seq;
-    lc = int "lc" ~default:0;
-    typ;
-    at = int "at" ~default:0;
-    pid;
-    src = int "src" ~default:(-1);
-    dst = int "dst" ~default:(-1);
-    msg = int "msg" ~default:(-1);
-    span = int "span" ~default:(-1);
-    component = str "component" ~default:"";
-    tag = str "tag" ~default:"";
-    name = str "name" ~default:"";
-    raw = line;
-  }
-
-let read_lines path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec loop acc =
-        match input_line ic with
-        | line -> loop (line :: acc)
-        | exception End_of_file -> List.rev acc
+    | Some "send" -> Send { at; src = pid "src"; dst = pid "dst"; msg = int "msg"; component; tag }
+    | Some "deliver" ->
+      Deliver { at; src = pid "src"; dst = pid "dst"; msg = int "msg"; component; tag }
+    | Some "drop" ->
+      let reason = str "reason" in
+      Drop { at; src = pid "src"; dst = pid "dst"; msg = int "msg"; component; tag; reason }
+    | Some "crash" -> Crash { at; pid = pid "pid" }
+    | Some "fd_view" ->
+      let suspected =
+        Option.value ~default:[] (Option.bind (Json_min.member "suspected" j) Json_min.to_list)
       in
-      loop [])
+      Fd_view
+        {
+          at;
+          pid = pid "pid";
+          component;
+          suspected = Sim.Pid.set_of_list (List.filter_map Json_min.to_int suspected);
+          trusted = Option.bind (Json_min.member "trusted" j) Json_min.to_int;
+        }
+    | Some "propose" -> Propose { at; pid = pid "pid"; value = int "value" }
+    | Some "decide" -> Decide { at; pid = pid "pid"; value = int "value"; round = int "round" }
+    | Some "note" -> Note { at; pid = pid "pid"; tag; detail = str "detail" }
+    | Some "span_begin" ->
+      Span_begin { at; pid = pid "pid"; component; span = int "span"; name = str "name" }
+    | Some "span_end" ->
+      Span_end { at; pid = pid "pid"; component; span = int "span"; name = str "name" }
+    | Some t -> fail (Printf.sprintf "unknown event type %S" t)
+  in
+  { seq; lc = int "lc"; body }
 
-let load path =
-  List.filteri (fun _ line -> String.trim line <> "") (read_lines path)
-  |> List.mapi (fun i line -> event_of_line ~lineno:(i + 1) line)
+let read_lines path = In_channel.with_open_text path In_channel.input_lines
 
-let render e =
-  let buf = Buffer.create 64 in
-  Printf.bprintf buf "#%-5d @%-5d [t=%d] %s" e.seq e.lc e.at e.typ;
-  (match e.typ with
-  | "send" | "deliver" | "drop" ->
-    Printf.bprintf buf " p%d->p%d msg=%d %s/%s" (e.src + 1) (e.dst + 1) e.msg e.component e.tag
-  | "span_begin" | "span_end" ->
-    Printf.bprintf buf " span=%d %s/%s" e.span e.component e.name
-  | _ ->
-    (match e.pid with Some p -> Printf.bprintf buf " p%d" (p + 1) | None -> ());
-    if e.component <> "" then Printf.bprintf buf " %s" e.component;
-    if e.tag <> "" then Printf.bprintf buf " %s" e.tag);
-  Buffer.contents buf
+(* Blank lines are skipped, but errors name the physical line. *)
+let of_lines lines =
+  List.concat
+    (List.mapi
+       (fun i line -> if String.trim line = "" then [] else [ event_of_line ~lineno:(i + 1) line ])
+       lines)
+
+let load path = of_lines (read_lines path)
