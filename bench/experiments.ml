@@ -1296,8 +1296,8 @@ let e19 () =
       ];
   Tables.note "snapshots identical: %b; sends-by-round identical: %b"
     (snap_ab = snap_ba) (rounds_ab = rounds_ba);
-  Tables.note "Pre-R2, Stats.snapshot surfaced Hashtbl bucket order and the two runs";
-  Tables.note "diffed; ecfd-lint (dune build @lint) now rejects such escapes statically."
+  Tables.note "Before rule A4, Stats.snapshot surfaced Hashtbl bucket order and the two runs";
+  Tables.note "diffed; ecfd check (dune build @static) now rejects such escapes statically."
 
 let all =
   [ e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12; e13; e14; e15; e16; e17; e18; e19 ]

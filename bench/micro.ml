@@ -420,7 +420,7 @@ let e20 () =
   Tables.note "(measured via Gc.minor_words deltas over the window; asserted < 0.01/event).";
   e20_result := Some rows;
   emit_sim_core_json ();
-  Tables.note "Wrote %s (ECFD_E20_NS / ECFD_E20_EVENTS trim the sweep)." sim_core_json_file;
+  Tables.note "Wrote %s (ECFD_E20_EVENTS trims the sweep)." sim_core_json_file;
   e20_alloc_gate rows
 
 let run () =

@@ -51,11 +51,10 @@ let install ?(component = component) engine params =
   let check_timeouts p () =
     let st = states.(p) in
     let now = Sim.Engine.now engine in
-    List.iter
-      (fun q ->
-        if not (Fd_view.suspects (Fd_handle.query handle p) q) then
-          if now - st.last_heard.(q) > st.timeout.(q) then suspect p q)
-      (Sim.Pid.others ~n p)
+    for q = 0 to n - 1 do
+      if (not (Sim.Pid.equal q p)) && not (Fd_view.suspects (Fd_handle.query handle p) q) then
+        if now - st.last_heard.(q) > st.timeout.(q) then suspect p q
+    done
   in
   let on_message p ~src payload =
     match payload with

@@ -102,12 +102,14 @@ let add_direct c k = c.count <- c.count + k
 let set_direct g v = g.level <- v
 let set_max_direct g v = if v > g.level then g.level <- v
 
+(* Few buckets per histogram; a linear scan beats binary search at these
+   sizes and stays branch-predictable.  Top level, not a local closure over
+   [v], so an observation allocates nothing. *)
+let rec bucket_slot bounds v i =
+  if i = Array.length bounds then i else if v <= bounds.(i) then i else bucket_slot bounds v (i + 1)
+
 let observe_direct h v =
-  let n = Array.length h.bounds in
-  (* Few buckets per histogram; a linear scan beats binary search at these
-     sizes and stays branch-predictable. *)
-  let rec slot i = if i = n then n else if v <= h.bounds.(i) then i else slot (i + 1) in
-  let s = slot 0 in
+  let s = bucket_slot h.bounds v 0 in
   h.bucket_counts.(s) <- h.bucket_counts.(s) + 1;
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum + v;

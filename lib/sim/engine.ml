@@ -52,6 +52,8 @@ type t = {
   rng : Rng.t;
   alive : bool array;
   handlers : (string, (src:Pid.t -> Payload.t -> unit) option array) Hashtbl.t;
+  mutable last_component : string;  (* the component [dispatch] last looked up ... *)
+  mutable last_slots : (src:Pid.t -> Payload.t -> unit) option array;  (* ... and its slots *)
   trace : Trace.t;
   stats : Stats.t;
   obs : Obs.Registry.t;
@@ -95,6 +97,8 @@ let create ?(seed = 0) ~n ~link () =
     rng = Rng.create ~seed;
     alive = Array.make n true;
     handlers = Hashtbl.create 8;
+    last_component = "";
+    last_slots = [||];
     trace = Trace.create ();
     stats = Stats.create ();
     obs;
@@ -196,11 +200,17 @@ let send t ~component ~tag ~src ~dst payload =
     end
   end
 
+(* Plain loops in ascending pid order — the order of [Pid.others] and
+   [Pid.all] — so a broadcast builds no list and no closure. *)
 let send_to_all_others t ~component ~tag ~src payload =
-  List.iter (fun dst -> send t ~component ~tag ~src ~dst payload) (Pid.others ~n:t.n src)
+  for dst = 0 to t.n - 1 do
+    if not (Pid.equal dst src) then send t ~component ~tag ~src ~dst payload
+  done
 
 let send_to_all t ~component ~tag ~src payload =
-  List.iter (fun dst -> send t ~component ~tag ~src ~dst payload) (Pid.all ~n:t.n)
+  for dst = 0 to t.n - 1 do
+    send t ~component ~tag ~src ~dst payload
+  done
 
 type timer = { slot : int; gen : int }
 
@@ -364,6 +374,21 @@ let end_span t s =
 let record_fd_view t ~component p ~suspected ~trusted =
   Trace.record t.trace (Fd_view { at = t.now; pid = p; component; suspected; trusted })
 
+(* A component's handler slots, or [[||]] if it registered none.  Runs of
+   deliveries to one component match the last lookup by one string
+   comparison, without hashing the name; slot arrays are never empty
+   ([n >= 1]) and are filled in place by [register], so the cached array
+   stays current. *)
+let handler_slots t component =
+  if Array.length t.last_slots > 0 && String.equal t.last_component component then t.last_slots
+  else
+    match Hashtbl.find_opt t.handlers component with
+    | None -> [||]
+    | Some slots ->
+      t.last_component <- component;
+      t.last_slots <- slots;
+      slots
+
 let dispatch t (envelope : Payload.envelope) =
   let { Payload.src; dst; component; tag; payload; sent_at; msg } = envelope in
   if not t.alive.(dst) then begin
@@ -375,9 +400,8 @@ let dispatch t (envelope : Payload.envelope) =
   end
   else begin
     let handler =
-      match Hashtbl.find_opt t.handlers component with
-      | None -> None
-      | Some slots -> slots.(dst)
+      let slots = handler_slots t component in
+      if Array.length slots = 0 then None else slots.(dst)
     in
     match handler with
     | None ->

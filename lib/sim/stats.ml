@@ -9,7 +9,13 @@ let add a b =
    instead of allocating a fresh record (the old ref-of-immutable-record
    scheme allocated on every send/deliver/drop).  The public [counts] view
    stays immutable. *)
-type cell = { mutable c_sent : int; mutable c_delivered : int; mutable c_dropped : int }
+type cell = {
+  component : string;
+  tag : string;
+  mutable c_sent : int;
+  mutable c_delivered : int;
+  mutable c_dropped : int;
+}
 
 let read cell = { sent = cell.c_sent; delivered = cell.c_delivered; dropped = cell.c_dropped }
 
@@ -25,9 +31,14 @@ type lifecycle = {
 }
 
 (* Keyed by (component, tag); component-level views aggregate on the fly.
-   Simulations have few distinct keys, so a Hashtbl is ample. *)
+   Simulations have few distinct keys, so a Hashtbl is ample.  [last] is
+   the cell the previous update hit: a run's messages come in long runs
+   of one key (a heartbeat detector sends nothing else), so most updates
+   match it by two string comparisons and never build the key tuple or
+   hash it.  [no_cell] marks an empty cache; it is in no table. *)
 type t = {
   table : (string * string, cell) Hashtbl.t;
+  mutable last : cell;
   mutable events_executed : int;
   mutable timers_set : int;
   mutable timers_fired : int;
@@ -38,9 +49,12 @@ type t = {
   mutable timer_residency_high_water : int;
 }
 
+let no_cell = { component = ""; tag = ""; c_sent = 0; c_delivered = 0; c_dropped = 0 }
+
 let create () =
   {
     table = Hashtbl.create 32;
+    last = no_cell;
     events_executed = 0;
     timers_set = 0;
     timers_fired = 0;
@@ -51,14 +65,24 @@ let create () =
     timer_residency_high_water = 0;
   }
 
-let cell t ~component ~tag =
+let lookup t ~component ~tag =
   let key = (component, tag) in
   match Hashtbl.find_opt t.table key with
   | Some c -> c
   | None ->
-    let c = { c_sent = 0; c_delivered = 0; c_dropped = 0 } in
+    let c = { component; tag; c_sent = 0; c_delivered = 0; c_dropped = 0 } in
     Hashtbl.add t.table key c;
     c
+
+let cell t ~component ~tag =
+  let last = t.last in
+  if last != no_cell && String.equal last.tag tag && String.equal last.component component then
+    last
+  else begin
+    let c = lookup t ~component ~tag in
+    t.last <- c;
+    c
+  end
 
 let on_send t ~component ~tag =
   let c = cell t ~component ~tag in

@@ -47,14 +47,18 @@ type event = { seq : int; lc : int; body : body }
 
    [clocks] is the per-process Lamport clock, grown on demand — the trace
    does not know [n], and hand-built test traces should not have to
-   declare it.  [send_lc] maps an in-flight message id to its send stamp;
-   the entry is consumed by the matching [Deliver] or [Drop], so the
-   table's residency is bounded by in-flight messages, not run length. *)
+   declare it.  [send_lc] maps a message id to its send stamp, in an
+   {!Id_table}: engine message ids are dense, so a send writes one array
+   slot and its [Deliver] or [Drop] reads and unbinds it, with no hashing
+   and no allocation.  The column spans every message id of the run, not
+   just the messages in flight: about 9 bytes per message (one int and a
+   presence byte), against about 115 bytes retained by each trace record,
+   of which a message makes two. *)
 type t = {
   mutable arr : event array;
   mutable count : int;
   mutable clocks : int array;
-  send_lc : (int, int) Hashtbl.t;
+  send_lc : Id_table.t;
   (* Interception point for observers: when set, [record] offers the body
      to the sink first, and only appends it itself if the sink declines
      (returns [false]). *)
@@ -64,7 +68,7 @@ type t = {
 let dummy_event = { seq = -1; lc = 0; body = Crash { at = Sim_time.zero; pid = 0 } }
 
 let create () =
-  { arr = [||]; count = 0; clocks = [||]; send_lc = Hashtbl.create 64; sink = None }
+  { arr = [||]; count = 0; clocks = [||]; send_lc = Id_table.create (); sink = None }
 
 let set_sink t sink = t.sink <- sink
 
@@ -85,6 +89,13 @@ let tick t pid =
   set_clock t pid c;
   c
 
+(* The send stamp of [msg], unbound on the way out: 0 if it was never
+   sent, or if an earlier Deliver or Drop already consumed it. *)
+let take_send_lc t msg =
+  let c = Id_table.find t.send_lc msg ~default:0 in
+  Id_table.remove t.send_lc msg;
+  c
+
 (* The clock rules (see trace.mli): Send ticks the sender and publishes
    its stamp under the message id; Deliver joins the receiver's clock with
    that stamp; Drop adopts the stamp without ticking anyone; every other
@@ -92,25 +103,13 @@ let tick t pid =
 let stamp t = function
   | Send { src; msg; _ } ->
     let c = tick t src in
-    if msg >= 0 then Hashtbl.replace t.send_lc msg c;
+    if msg >= 0 then Id_table.set t.send_lc msg c;
     c
   | Deliver { dst; msg; _ } ->
-    let sent =
-      match Hashtbl.find_opt t.send_lc msg with
-      | Some c ->
-        Hashtbl.remove t.send_lc msg;
-        c
-      | None -> 0
-    in
-    let c = Stdlib.max (clock t dst) sent + 1 in
+    let c = Stdlib.max (clock t dst) (take_send_lc t msg) + 1 in
     set_clock t dst c;
     c
-  | Drop { msg; _ } -> (
-    match Hashtbl.find_opt t.send_lc msg with
-    | Some c ->
-      Hashtbl.remove t.send_lc msg;
-      c
-    | None -> 0)
+  | Drop { msg; _ } -> take_send_lc t msg
   | Crash { pid; _ }
   | Fd_view { pid; _ }
   | Propose { pid; _ }

@@ -15,37 +15,55 @@ let pp_violation ppf = function
   | Unmatched_deliver { msg; seq } ->
     Format.fprintf ppf "deliver #%d references msg %d with no prior send" seq msg
 
+(* Pids and engine message ids are dense, so both maps are
+   {!Sim.Id_table}s: one array slot per process and per message, no
+   hashing and no allocation per event. *)
 type state = {
   mutable prev_seq : int;
-  last_lc : (Sim.Pid.t, int) Hashtbl.t;
-  send_lc : (int, int) Hashtbl.t;  (** Message id -> the send's Lamport stamp. *)
+  last_lc : Sim.Id_table.t;  (** Pid -> the Lamport stamp of its latest event. *)
+  send_lc : Sim.Id_table.t;  (** Message id -> the send's Lamport stamp. *)
   mutable rev_violations : violation list;
 }
 
 let flag st v = st.rev_violations <- v :: st.rev_violations
 
+let at_pid st (e : Sim.Trace.event) pid =
+  if Sim.Id_table.mem st.last_lc pid then begin
+    let prev_lc = Sim.Id_table.find st.last_lc pid ~default:0 in
+    if e.lc <= prev_lc then flag st (Clock_regression { pid; seq = e.seq; lc = e.lc; prev_lc })
+  end;
+  Sim.Id_table.set st.last_lc pid e.lc
+
 let scan st (e : Sim.Trace.event) =
   if e.seq <> st.prev_seq + 1 then flag st (Nonmonotone_seq { seq = e.seq; prev = st.prev_seq });
   st.prev_seq <- e.seq;
-  (match Sim.Trace.pid_of e.body with
-  | None -> ()
-  | Some pid ->
-    (match Hashtbl.find_opt st.last_lc pid with
-    | Some prev_lc when e.lc <= prev_lc ->
-      flag st (Clock_regression { pid; seq = e.seq; lc = e.lc; prev_lc })
-    | Some _ | None -> ());
-    Hashtbl.replace st.last_lc pid e.lc);
   match e.body with
-  | Sim.Trace.Send { msg; _ } -> Hashtbl.replace st.send_lc msg e.lc
-  | Sim.Trace.Deliver { msg; _ } -> (
-    match Hashtbl.find_opt st.send_lc msg with
-    | None -> flag st (Unmatched_deliver { msg; seq = e.seq })
-    | Some send_lc ->
-      if send_lc >= e.lc then flag st (Causality_violation { msg; send_lc; deliver_lc = e.lc }))
-  | _ -> ()
+  | Sim.Trace.Send { src; msg; _ } ->
+    at_pid st e src;
+    Sim.Id_table.set st.send_lc msg e.lc
+  | Sim.Trace.Deliver { dst; msg; _ } ->
+    at_pid st e dst;
+    if Sim.Id_table.mem st.send_lc msg then begin
+      let send_lc = Sim.Id_table.find st.send_lc msg ~default:0 in
+      if send_lc >= e.lc then flag st (Causality_violation { msg; send_lc; deliver_lc = e.lc })
+    end
+    else flag st (Unmatched_deliver { msg; seq = e.seq })
+  | Sim.Trace.Drop _ -> ()
+  | Sim.Trace.Crash { pid; _ }
+  | Sim.Trace.Fd_view { pid; _ }
+  | Sim.Trace.Propose { pid; _ }
+  | Sim.Trace.Decide { pid; _ }
+  | Sim.Trace.Note { pid; _ }
+  | Sim.Trace.Span_begin { pid; _ }
+  | Sim.Trace.Span_end { pid; _ } -> at_pid st e pid
 
 let fresh () =
-  { prev_seq = -1; last_lc = Hashtbl.create 16; send_lc = Hashtbl.create 64; rev_violations = [] }
+  {
+    prev_seq = -1;
+    last_lc = Sim.Id_table.create ();
+    send_lc = Sim.Id_table.create ();
+    rev_violations = [];
+  }
 
 let check trace =
   let st = fresh () in

@@ -125,6 +125,75 @@ let rng_tests =
         let r = Sim.Rng.create ~seed:14 in
         Alcotest.check_raises "zero" (Invalid_argument "Rng.int: bound must be positive")
           (fun () -> ignore (Sim.Rng.int r ~bound:0)));
+    tc "golden streams for seeds 0, 1 and 42" (fun () ->
+        (* Pinned from the boxed-[int64] implementation: every simulated
+           run depends on these streams, so a change of state
+           representation must reproduce them bit for bit. *)
+        List.iter
+          (fun (seed, int64s, int97s, floats) ->
+            let draws f = List.init 8 (fun _ -> f ()) in
+            let r = Sim.Rng.create ~seed in
+            Alcotest.(check (list int64))
+              (Printf.sprintf "seed %d next_int64" seed)
+              int64s
+              (draws (fun () -> Sim.Rng.next_int64 r));
+            let r = Sim.Rng.create ~seed in
+            Alcotest.(check (list int))
+              (Printf.sprintf "seed %d int ~bound:97" seed)
+              int97s
+              (draws (fun () -> Sim.Rng.int r ~bound:97));
+            let r = Sim.Rng.create ~seed in
+            Alcotest.(check (list (float 0.)))
+              (Printf.sprintf "seed %d float" seed)
+              floats
+              (draws (fun () -> Sim.Rng.float r)))
+          [
+            ( 0,
+              [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL; 0xF88BB8A8724C81ECL;
+                0x1B39896A51A8749BL; 0x53CB9F0C747EA2EAL; 0x2C829ABE1F4532E1L; 0xC584133AC916AB3CL ],
+              [ 60; 53; 79; 33; 84; 84; 61; 47 ],
+              [ 0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6; 0x1.f1177150e499p-1;
+                0x1.b39896a51a87p-4; 0x1.4f2e7c31d1fa8p-2; 0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1 ]
+            );
+            ( 1,
+              [ 0xBFEF8030DDC2D772L; 0x5F552CE482F2AA47L; 0x70335FC3DAF3D8A7L; 0xF440FE3B62C79D2CL;
+                0x33BA2F29E7C168BBL; 0x98843F48A94B7866L; 0x74AD4C24D41A25F8L; 0x2F9A1F13648EAB6EL ],
+              [ 89; 34; 74; 27; 27; 25; 12; 89 ],
+              [ 0x1.7fdf0061bb85ap-1; 0x1.7d54b3920bcaap-2; 0x1.c0cd7f0f6bcf6p-2; 0x1.e881fc76c58f3p-1;
+                0x1.9dd1794f3e0b4p-3; 0x1.31087e915296fp-1; 0x1.d2b5309350688p-2; 0x1.7cd0f89b24754p-3 ]
+            );
+            ( 42,
+              [ 0x989B3F130A063869L; 0x290DB4BF2570DED7L; 0x2A990BE63A01B2D5L; 0x0C4B6B24EF01890EL;
+                0xFB16A06E52EC10A7L; 0x3C30FC5FD50692C3L; 0x4782C4B4C4FDF7C9L; 0x272404A0A3926552L ],
+              [ 37; 29; 36; 0; 78; 37; 59; 25 ],
+              [ 0x1.31367e26140c7p-1; 0x1.486da5f92b86cp-3; 0x1.54c85f31d00d8p-3; 0x1.896d649de031p-5;
+                0x1.f62d40dca5d82p-1; 0x1.e187e2fea8348p-3; 0x1.1e0b12d313f7cp-2; 0x1.392025051c93p-3 ]
+            );
+          ]);
+    tc "copy and split do not alias their parent" (fun () ->
+        (* The state is one mutable buffer: a copy or a split child that
+           shared it would advance the parent's stream. *)
+        let advance r =
+          for _ = 1 to 5 do
+            ignore (Sim.Rng.next_int64 r : int64)
+          done
+        in
+        let parent = Sim.Rng.create ~seed:11 in
+        let expected = Sim.Rng.next_int64 (Sim.Rng.copy parent) in
+        advance (Sim.Rng.copy parent);
+        Alcotest.(check int64) "copy advanced, parent not" expected (Sim.Rng.next_int64 parent);
+        let parent = Sim.Rng.create ~seed:11 in
+        let child = Sim.Rng.split parent in
+        let parent_next = Sim.Rng.next_int64 (Sim.Rng.copy parent) in
+        let child_next = Sim.Rng.next_int64 (Sim.Rng.copy child) in
+        advance child;
+        Alcotest.(check int64) "split child advanced, parent not" parent_next
+          (Sim.Rng.next_int64 parent);
+        let parent = Sim.Rng.create ~seed:11 in
+        let child = Sim.Rng.split parent in
+        advance parent;
+        Alcotest.(check int64) "parent advanced, split child not" child_next
+          (Sim.Rng.next_int64 child));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -855,6 +924,51 @@ let stats_tests =
         Sim.Stats.on_send s ~component:"a" ~tag:"z";
         Alcotest.(check int) "window" 2 (Sim.Stats.sent_since s snap ~component:"a");
         Alcotest.(check int) "total window" 2 (Sim.Stats.total_sent_since s snap));
+    tc "equal but physically distinct keys share one cell" (fun () ->
+        let s = Sim.Stats.create () in
+        let component () = String.concat "." [ "fd"; "test" ] in
+        let tag () = Bytes.to_string (Bytes.of_string "alive") in
+        Alcotest.(check bool) "distinct strings" false (component () == component ());
+        Sim.Stats.on_send s ~component:(component ()) ~tag:(tag ());
+        Sim.Stats.on_send s ~component:"fd.test" ~tag:"alive";
+        Sim.Stats.on_deliver s ~component:(component ()) ~tag:(tag ());
+        Sim.Stats.on_drop s ~component:(component ()) ~tag:"alive";
+        Alcotest.(check (list (triple string string int))) "one cell"
+          [ ("fd.test", "alive", 2) ]
+          (List.map (fun (c, t, (v : Sim.Stats.counts)) -> (c, t, v.sent)) (Sim.Stats.snapshot s));
+        let v = Sim.Stats.tag_counts s ~component:"fd.test" ~tag:(tag ()) in
+        Alcotest.(check (list int)) "sent, delivered, dropped" [ 2; 1; 1 ]
+          [ v.sent; v.delivered; v.dropped ]);
+    tc "alternating keys keep every count exact" (fun () ->
+        let s = Sim.Stats.create () in
+        let keys = [| ("a", "x"); ("a", "y"); ("b", "x"); ("a", "x"); ("", ""); ("b", "x") |] in
+        for i = 0 to 59 do
+          let component, tag = keys.(i mod Array.length keys) in
+          match i mod 3 with
+          | 0 -> Sim.Stats.on_send s ~component ~tag
+          | 1 -> Sim.Stats.on_deliver s ~component ~tag
+          | _ -> Sim.Stats.on_drop s ~component ~tag
+        done;
+        (* Step i hits key i mod 6 with kind i mod 3; 6 is a multiple of 3,
+           so key index k always gets kind k mod 3, ten times.  ("a", "x")
+           is both key 0 and key 3, ("b", "x") both key 2 and key 5. *)
+        let triple (v : Sim.Stats.counts) = [ v.sent; v.delivered; v.dropped ] in
+        Alcotest.(check (list (triple string string (list int)))) "snapshot"
+          [
+            ("", "", [ 0; 10; 0 ]);
+            ("a", "x", [ 20; 0; 0 ]);
+            ("a", "y", [ 0; 10; 0 ]);
+            ("b", "x", [ 0; 0; 20 ]);
+          ]
+          (List.map (fun (c, t, v) -> (c, t, triple v)) (Sim.Stats.snapshot s));
+        Alcotest.(check (list int)) "component a" [ 20; 10; 0 ]
+          (triple (Sim.Stats.component_counts s ~component:"a"));
+        Alcotest.(check (list int)) "component b" [ 0; 0; 20 ]
+          (triple (Sim.Stats.component_counts s ~component:"b"));
+        Alcotest.(check (list int)) "tag a/y" [ 0; 10; 0 ]
+          (triple (Sim.Stats.tag_counts s ~component:"a" ~tag:"y"));
+        Alcotest.(check (list int)) "tag b/y absent" [ 0; 0; 0 ]
+          (triple (Sim.Stats.tag_counts s ~component:"b" ~tag:"y")));
   ]
 
 let fault_tests =
@@ -929,6 +1043,103 @@ let trace_tests =
         Alcotest.(check int) "fd views" 1 (List.length (Sim.Trace.fd_views ~component:"x" t));
         Alcotest.(check int) "fd views other comp" 0
           (List.length (Sim.Trace.fd_views ~component:"y" t)));
+    tc "a sparse message id is stamped like a dense one" (fun () ->
+        let stamps msg =
+          let t = Sim.Trace.create () in
+          let link body = Sim.Trace.record t body in
+          link (Sim.Trace.Propose { at = 0; pid = 0; value = 1 });
+          link (Sim.Trace.Propose { at = 0; pid = 0; value = 2 });
+          link (Sim.Trace.Send { at = 1; src = 0; dst = 1; msg; component = "c"; tag = "x" });
+          link (Sim.Trace.Send { at = 1; src = 0; dst = 2; msg = msg + 1; component = "c"; tag = "x" });
+          link (Sim.Trace.Deliver { at = 2; src = 0; dst = 1; msg; component = "c"; tag = "x" });
+          link
+            (Sim.Trace.Drop
+               { at = 2; src = 0; dst = 2; msg = msg + 1; component = "c"; tag = "x"; reason = "r" });
+          List.map (fun (e : Sim.Trace.event) -> e.lc) (Sim.Trace.events t)
+        in
+        Alcotest.(check (list int)) "dense" [ 1; 2; 3; 4; 4; 4 ] (stamps 1);
+        Alcotest.(check (list int)) "sparse" (stamps 1) (stamps 1_000_000);
+        Alcotest.(check (list int)) "far past any array" (stamps 1) (stamps (max_int - 1)));
+    tc "a consumed send stamp joins later deliveries with 0" (fun () ->
+        (* The Deliver or Drop that matches a Send consumes its stamp: a
+           Deliver after the id's Drop, or a second Deliver, finds none and
+           just ticks its receiver. *)
+        let t = Sim.Trace.create () in
+        let send msg = Sim.Trace.Send { at = 0; src = 0; dst = 1; msg; component = "c"; tag = "x" } in
+        let deliver dst msg = Sim.Trace.Deliver { at = 1; src = 0; dst; msg; component = "c"; tag = "x" } in
+        let drop msg =
+          Sim.Trace.Drop { at = 1; src = 0; dst = 1; msg; component = "c"; tag = "x"; reason = "r" }
+        in
+        List.iter (Sim.Trace.record t)
+          [
+            Sim.Trace.Propose { at = 0; pid = 0; value = 1 };
+            Sim.Trace.Propose { at = 0; pid = 0; value = 2 };
+            send 7 (* p1 @3 *);
+            drop 7 (* @3 *);
+            deliver 1 7 (* after its drop: max(0, 0) + 1 *);
+            send 8 (* p1 @4 *);
+            deliver 2 8 (* joins 4: @5 *);
+            deliver 3 8 (* second deliver: max(0, 0) + 1 *);
+            deliver 2 8 (* p3 again, clock 5: @6 *);
+            deliver 4 (-1) (* never sent *);
+          ];
+        Alcotest.(check (list int)) "stamps" [ 1; 2; 3; 3; 1; 4; 5; 1; 6; 1 ]
+          (List.map (fun (e : Sim.Trace.event) -> e.lc) (Sim.Trace.events t)));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Id_table, against the Hashtbl it replaces                          *)
+(* ------------------------------------------------------------------ *)
+
+type id_op = Set of int * int | Remove of int | Find of int
+
+let id_table_tests =
+  let key =
+    QCheck2.Gen.(
+      frequency
+        [
+          (6, int_range 0 40);
+          (2, int_range 60 300);
+          (1, int_range (-5) (-1));
+          (1, oneofl [ 1_000_000; max_int; min_int ]);
+        ])
+  in
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [
+          (4, map2 (fun k v -> Set (k, v)) key (int_range (-3) 3));
+          (1, map (fun k -> Remove k) key);
+          (3, map (fun k -> Find k) key);
+        ])
+  in
+  let print_op = function
+    | Set (k, v) -> Printf.sprintf "set %d %d" k v
+    | Remove k -> Printf.sprintf "remove %d" k
+    | Find k -> Printf.sprintf "find %d" k
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~name:"Id_table answers like a Hashtbl"
+         ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+         QCheck2.Gen.(list_size (int_range 0 150) op)
+         (fun ops ->
+           let t = Sim.Id_table.create () and model = Hashtbl.create 8 in
+           List.for_all
+             (function
+               | Set (k, v) ->
+                 Sim.Id_table.set t k v;
+                 Hashtbl.replace model k v;
+                 true
+               | Remove k ->
+                 Sim.Id_table.remove t k;
+                 Hashtbl.remove model k;
+                 true
+               | Find k ->
+                 Sim.Id_table.mem t k = Hashtbl.mem model k
+                 && Sim.Id_table.find t k ~default:min_int
+                    = Option.value (Hashtbl.find_opt model k) ~default:min_int)
+             ops));
   ]
 
 let suites =
@@ -944,4 +1155,5 @@ let suites =
     ("sim.fault", fault_tests);
     ("sim.signal", signal_tests);
     ("sim.trace", trace_tests);
+    ("sim.id_table", id_table_tests);
   ]

@@ -432,6 +432,136 @@ let clock_props_tests =
              vs));
   ]
 
+(* The Hashtbl implementation [Clock_props] had before it moved to
+   {!Sim.Id_table}, kept verbatim as the reference the property below
+   compares against. *)
+module Clock_model = struct
+  open Spec.Clock_props
+
+  type state = {
+    mutable prev_seq : int;
+    last_lc : (Sim.Pid.t, int) Hashtbl.t;
+    send_lc : (int, int) Hashtbl.t;  (** Message id -> the send's Lamport stamp. *)
+    mutable rev_violations : violation list;
+  }
+
+  let flag st v = st.rev_violations <- v :: st.rev_violations
+
+  let scan st (e : Sim.Trace.event) =
+    if e.seq <> st.prev_seq + 1 then flag st (Nonmonotone_seq { seq = e.seq; prev = st.prev_seq });
+    st.prev_seq <- e.seq;
+    (match Sim.Trace.pid_of e.body with
+    | None -> ()
+    | Some pid ->
+      (match Hashtbl.find_opt st.last_lc pid with
+      | Some prev_lc when e.lc <= prev_lc ->
+        flag st (Clock_regression { pid; seq = e.seq; lc = e.lc; prev_lc })
+      | Some _ | None -> ());
+      Hashtbl.replace st.last_lc pid e.lc);
+    match e.body with
+    | Sim.Trace.Send { msg; _ } -> Hashtbl.replace st.send_lc msg e.lc
+    | Sim.Trace.Deliver { msg; _ } -> (
+      match Hashtbl.find_opt st.send_lc msg with
+      | None -> flag st (Unmatched_deliver { msg; seq = e.seq })
+      | Some send_lc ->
+        if send_lc >= e.lc then flag st (Causality_violation { msg; send_lc; deliver_lc = e.lc }))
+    | _ -> ()
+
+  let fresh () =
+    { prev_seq = -1; last_lc = Hashtbl.create 16; send_lc = Hashtbl.create 64; rev_violations = [] }
+
+  let check_events events =
+    let st = fresh () in
+    List.iter (scan st) events;
+    List.rev st.rev_violations
+end
+
+(* Hand-built event lists that stress what the model's hashing made free:
+   message ids that are sparse, negative, huge or repeated (so a Deliver
+   may follow the id's Drop, repeat, or match nothing), pids with gaps
+   and a negative one, and seq steps that skip, stall or go back. *)
+let clock_events_gen =
+  let open QCheck2.Gen in
+  let msg =
+    frequency
+      [
+        (6, int_range 0 6);
+        (1, int_range (-3) (-1));
+        (1, oneofl [ 100; 1_000_000; max_int ]);
+      ]
+  in
+  let pid = oneofl [ 0; 1; 2; 5; 9; -1 ] in
+  let lc = int_range (-2) 12 in
+  let body =
+    frequency
+      [
+        ( 4,
+          map3
+            (fun src dst msg ->
+              Sim.Trace.Send { at = 0; src; dst; msg; component = "c"; tag = "x" })
+            pid pid msg );
+        ( 4,
+          map3
+            (fun src dst msg ->
+              Sim.Trace.Deliver { at = 0; src; dst; msg; component = "c"; tag = "x" })
+            pid pid msg );
+        ( 2,
+          map3
+            (fun src dst msg ->
+              Sim.Trace.Drop { at = 0; src; dst; msg; component = "c"; tag = "x"; reason = "r" })
+            pid pid msg );
+        (1, map (fun pid -> Sim.Trace.Crash { at = 0; pid }) pid);
+        (1, map (fun pid -> Sim.Trace.Propose { at = 0; pid; value = 0 }) pid);
+        (1, map (fun pid -> Sim.Trace.Note { at = 0; pid; tag = "t"; detail = "" }) pid);
+        ( 1,
+          map
+            (fun pid -> Sim.Trace.Span_begin { at = 0; pid; component = "c"; span = 0; name = "s" })
+            pid );
+      ]
+  in
+  let seq_step = frequency [ (8, pure 1); (1, pure 0); (1, pure 2); (1, pure (-1)) ] in
+  list_size (int_range 0 60) (triple seq_step lc body) >|= fun steps ->
+  List.rev
+    (snd
+       (List.fold_left
+          (fun (seq, acc) (step, lc, body) ->
+            let seq = seq + step in
+            (seq, { Sim.Trace.seq; lc; body } :: acc))
+          (-1, []) steps))
+
+let clock_differential_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:500 ~name:"check_events equals the Hashtbl model"
+         ~print:(fun events ->
+           String.concat "\n" (List.map (Format.asprintf "%a" Sim.Trace.pp_event) events))
+         clock_events_gen
+         (fun events -> Spec.Clock_props.check_events events = Clock_model.check_events events));
+    tc "model agreement on a Deliver after a Drop, a repeat and an unmatched id" (fun () ->
+        let ev seq lc body = { Sim.Trace.seq; lc; body } in
+        let send msg = Sim.Trace.Send { at = 0; src = 0; dst = 1; msg; component = "c"; tag = "x" } in
+        let deliver msg = Sim.Trace.Deliver { at = 0; src = 0; dst = 1; msg; component = "c"; tag = "x" } in
+        let drop msg =
+          Sim.Trace.Drop { at = 0; src = 0; dst = 1; msg; component = "c"; tag = "x"; reason = "r" }
+        in
+        let events =
+          [
+            ev 0 5 (send 1_000_000);
+            ev 1 5 (drop 1_000_000);
+            ev 2 4 (deliver 1_000_000);
+            ev 3 6 (deliver 1_000_000);
+            ev 5 7 (deliver (-4));
+            ev 6 1 (send (-4));
+            ev 7 8 (deliver (-4));
+          ]
+        in
+        let shown vs = List.map (Format.asprintf "%a" Spec.Clock_props.pp_violation) vs in
+        Alcotest.(check (list string)) "same violations"
+          (shown (Clock_model.check_events events))
+          (shown (Spec.Clock_props.check_events events));
+        Alcotest.(check int) "violations found" 4 (List.length (Spec.Clock_props.check_events events)));
+  ]
+
 let suites =
   [
     ("spec.eventually", eventually_tests);
@@ -441,4 +571,5 @@ let suites =
     ("spec.consensus_props", consensus_props_tests);
     ("spec.round_metrics", round_metrics_tests);
     ("spec.clock_props", clock_props_tests);
+    ("spec.clock_model", clock_differential_tests);
   ]
