@@ -566,14 +566,11 @@ let e9 () =
         let ok = Spec.Fd_props.satisfies_class Fd.Classes.P_eventual run in
         let since =
           match
-            Spec.Eventually.all
-              [
-                (Spec.Fd_props.strong_completeness run).Spec.Fd_props.since;
-                (Spec.Fd_props.eventual_strong_accuracy run).Spec.Fd_props.since;
-              ]
+            ( (Spec.Fd_props.strong_completeness run).Spec.Fd_props.since,
+              (Spec.Fd_props.eventual_strong_accuracy run).Spec.Fd_props.since )
           with
-          | Some t -> t
-          | None -> -1
+          | Some completeness, Some accuracy -> Stdlib.max completeness accuracy
+          | _ -> -1
         in
         (ok, since, gst, Sim.Fault.last_crash_time crashes))
   in
@@ -672,24 +669,8 @@ let e11 () =
     Sim.Engine.run_until engine 6000;
     let run = Spec.Fd_props.make_run ~component ~n (Sim.Engine.trace engine) in
     let observer = n - 1 in
-    let changes_after t0 =
-      List.length
-        (List.filter
-           (fun (at, _, v) ->
-             ignore (v : Fd.Fd_view.t);
-             at > t0)
-           (let tl = Spec.Eventually.of_views ~component run.Spec.Fd_props.trace ~pid:observer in
-            let rec switches prev acc = function
-              | [] -> acc
-              | (at, (v : Fd.Fd_view.t)) :: rest ->
-                if Option.equal Sim.Pid.equal v.Fd.Fd_view.trusted prev then
-                  switches prev acc rest
-                else switches v.Fd.Fd_view.trusted ((at, prev, v) :: acc) rest
-            in
-            switches None [] tl))
-    in
     ( Spec.Fd_props.eventual_leader run,
-      changes_after blackout_to,
+      Spec.Fd_props.leader_changes_after run observer ~after:blackout_to,
       Spec.Fd_props.demotions_of_live_leaders run observer )
   in
   let leader_install engine = ignore (Fd.Leader_s.install engine Fd.Leader_s.default_params) in

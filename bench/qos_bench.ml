@@ -59,9 +59,7 @@ let run_one case detector =
     Scenario.fd_run ~net:case.net ~crashes:case.crashes ~horizon:case.horizon ~n ~detector ()
   in
   let component = Fd.Fd_handle.component handle in
-  let report =
-    Sim.Trace_qos.report ~component ~n ~horizon:case.horizon run.Spec.Fd_props.trace
-  in
+  let report = Obs.Qos.finish run.Spec.Fd_props.qos ~horizon:case.horizon in
   {
     Obs.Rollup.name = Printf.sprintf "%s/%s" case.case (Scenario.detector_name detector);
     component;

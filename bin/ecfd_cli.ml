@@ -334,7 +334,7 @@ let qos_cmd =
       Scenario.fd_run ~net:(net ~seed ~gst ~delta) ~crashes:schedule ~horizon ~n ~detector ()
     in
     let component = Fd.Fd_handle.component handle in
-    let report = Sim.Trace_qos.report ~component ~n ~horizon fdrun.Spec.Fd_props.trace in
+    let report = Obs.Qos.finish fdrun.Spec.Fd_props.qos ~horizon in
     let json =
       Obs.Rollup.to_json
         [ { Obs.Rollup.name = Scenario.detector_name detector; component; report } ]

@@ -38,12 +38,17 @@ type leader = {
 
 type report = { n : int; horizon : int; pairs : pair list; leaders : leader list }
 
+type transition = int * int option * int option
+
 type t = {
   n : int;
   crashed_at : int option array;  (* per pid: crash instant *)
-  (* Flattened (observer * n + subject) pair state. *)
+  (* Flattened (observer * n + subject) pair state; the diagonal (o, o)
+     keeps only [suspected], [since] and [onsets], which the reports
+     leave out but self-suspecting accuracy checks read. *)
   suspected : bool array;
-  susp_since : int array;  (* start of the current suspicion interval *)
+  since : int array;  (* start of the current suspected-or-not state *)
+  onsets : int list array;  (* instants a suspicion began, newest first *)
   mistake_open : int array;  (* -1 = no mistake accruing *)
   mistakes : int array;
   mistake_time : int array;
@@ -51,11 +56,10 @@ type t = {
   incorrect_since : int array;  (* -1 = view of the subject currently correct *)
   incorrect_time : int array;
   longest_outage : int array;
-  (* Per-observer leader (Omega) state. *)
-  trusted : int array;  (* -1 = none *)
-  trusted_seen : bool array;
-  changes : int array;
-  steady_at : int array;
+  (* Per-observer output state. *)
+  coherent_since : int array;  (* -1 = not trusting an unsuspected process *)
+  transitions : transition list array;  (* every recorded view, newest first *)
+  live_transitions : transition list array;  (* frozen at the observer's crash *)
 }
 
 let create ~n =
@@ -65,7 +69,8 @@ let create ~n =
     n;
     crashed_at = Array.make n None;
     suspected = Array.make pairs false;
-    susp_since = Array.make pairs 0;
+    since = Array.make pairs 0;
+    onsets = Array.make pairs [];
     mistake_open = Array.make pairs (-1);
     mistakes = Array.make pairs 0;
     mistake_time = Array.make pairs 0;
@@ -73,10 +78,9 @@ let create ~n =
     incorrect_since = Array.make pairs (-1);
     incorrect_time = Array.make pairs 0;
     longest_outage = Array.make pairs 0;
-    trusted = Array.make n (-1);
-    trusted_seen = Array.make n false;
-    changes = Array.make n 0;
-    steady_at = Array.make n 0;
+    coherent_since = Array.make n (-1);
+    transitions = Array.make n [];
+    live_transitions = Array.make n [];
   }
 
 let idx t o s = (o * t.n) + s
@@ -128,17 +132,25 @@ let feed t event =
       done
     end
   | View { at; observer = o; suspected; trusted } ->
-    if o >= 0 && o < t.n && t.crashed_at.(o) = None then begin
-      let now = Array.make t.n false in
-      List.iter (fun s -> if s >= 0 && s < t.n then now.(s) <- true) suspected;
-      for s = 0 to t.n - 1 do
-        if s <> o then begin
+    if o >= 0 && o < t.n then begin
+      let trusted = match trusted with Some l when l >= 0 && l < t.n -> trusted | _ -> None in
+      let live = t.crashed_at.(o) = None in
+      if live then begin
+        (* A pair that never changes is dated from the observer's first
+           recorded view, not from 0. *)
+        let first = t.transitions.(o) = [] in
+        let now = Array.make t.n false in
+        List.iter (fun s -> if s >= 0 && s < t.n then now.(s) <- true) suspected;
+        for s = 0 to t.n - 1 do
           let i = idx t o s in
+          if first then t.since.(i) <- at;
           if t.suspected.(i) <> now.(s) then begin
-            let dead = t.crashed_at.(s) <> None in
             t.suspected.(i) <- now.(s);
-            if now.(s) then begin
-              t.susp_since.(i) <- at;
+            t.since.(i) <- at;
+            if now.(s) then t.onsets.(i) <- at :: t.onsets.(i);
+            let dead = t.crashed_at.(s) <> None in
+            if s = o then ()
+            else if now.(s) then begin
               if dead then close_outage t i ~at
               else begin
                 t.mistakes.(i) <- t.mistakes.(i) + 1;
@@ -152,19 +164,24 @@ let feed t event =
               close_outage t i ~at
             end
           end
-        end
-      done;
-      let new_trusted = match trusted with Some l when l >= 0 && l < t.n -> l | _ -> -1 in
-      if new_trusted <> t.trusted.(o) then begin
-        t.trusted.(o) <- new_trusted;
-        t.changes.(o) <- t.changes.(o) + 1;
-        t.steady_at.(o) <- at;
-        if new_trusted >= 0 then t.trusted_seen.(o) <- true
-      end
+        done;
+        let coherent = match trusted with Some l -> not now.(l) | None -> false in
+        if not coherent then t.coherent_since.(o) <- -1
+        else if t.coherent_since.(o) < 0 then t.coherent_since.(o) <- at
+      end;
+      (* Views at a crashed observer still extend its transitions (a
+         scripted detector may publish after the crash), but not the
+         accounting window's copy. *)
+      (match t.transitions.(o) with
+      | [] -> t.transitions.(o) <- [ (at, None, trusted) ]
+      | (_, _, current) :: _ when Option.equal Int.equal current trusted -> ()
+      | (_, _, current) :: _ as older -> t.transitions.(o) <- (at, current, trusted) :: older);
+      if live then t.live_transitions.(o) <- t.transitions.(o)
     end
 
 (* [finish] closes the still-open intervals virtually (no state mutation,
-   so it can be called at several horizons over one fold). *)
+   so it can be called at several horizons over one fold, as long as none
+   is earlier than the last event fed). *)
 let finish t ~horizon =
   let window_of o = match t.crashed_at.(o) with Some e -> Stdlib.min e horizon | None -> horizon in
   let pairs = ref [] in
@@ -191,7 +208,7 @@ let finish t ~horizon =
         let detection_time =
           match (subject_crashed_at, t.crashed_at.(o)) with
           | Some tc, None when t.suspected.(i) && tc <= horizon ->
-            Some (Stdlib.max 0 (t.susp_since.(i) - tc))
+            Some (Stdlib.max 0 (t.since.(i) - tc))
           | _ -> None
         in
         let up_time =
@@ -217,17 +234,39 @@ let finish t ~horizon =
   done;
   let leaders =
     List.init t.n (fun o ->
-        {
-          l_observer = o;
-          l_window = window_of o;
-          l_changes = t.changes.(o);
-          l_steady_at = (if t.trusted_seen.(o) then Some t.steady_at.(o) else None);
-          l_final = (if t.trusted.(o) >= 0 then Some t.trusted.(o) else None);
-        })
+        let live = t.live_transitions.(o) in
+        (* Every entry is a change except a first view trusting nobody. *)
+        let l_changes =
+          List.length (List.filter (function _, None, None -> false | _ -> true) live)
+        in
+        let l_steady_at, l_final =
+          match live with
+          | (at, _, current) :: _ -> ((if l_changes > 0 then Some at else None), current)
+          | [] -> (None, None)
+        in
+        { l_observer = o; l_window = window_of o; l_changes; l_steady_at; l_final })
   in
   { n = t.n; horizon; pairs = !pairs; leaders }
 
 let of_events ~n ~horizon events =
   let t = create ~n in
-  List.iter (feed t) events;
+  List.iter
+    (function (Crash { at; _ } | View { at; _ }) as e -> if at <= horizon then feed t e)
+    events;
   finish t ~horizon
+
+let in_range t p = p >= 0 && p < t.n
+let crashed_at t p = if in_range t p then t.crashed_at.(p) else None
+
+let status t ~observer:o ~subject:s =
+  if in_range t o && in_range t s && t.live_transitions.(o) <> [] then
+    Some (t.suspected.(idx t o s), t.since.(idx t o s))
+  else None
+
+let suspicion_onsets t ~observer ~subject =
+  if in_range t observer && in_range t subject then t.onsets.(idx t observer subject) else []
+
+let coherent_since t o =
+  if in_range t o && t.coherent_since.(o) >= 0 then Some t.coherent_since.(o) else None
+
+let transitions t o = if in_range t o then t.transitions.(o) else []

@@ -34,6 +34,10 @@
     process.  Every leader transition counts, including the initial
     election ([None -> Some l]).
 
+    The fold also keeps the states [Spec.Fd_props] reads (see the end);
+    one that never changed is dated from the observer's first recorded
+    view, not from 0.
+
     All arithmetic is integer ticks over the deterministic stream: two
     byte-identical traces yield byte-identical reports. *)
 
@@ -76,12 +80,36 @@ val create : n:int -> t
 
 val feed : t -> event -> unit
 (** Consume the next event.  Events must arrive in trace order (the
-    stream is a fold, not a sort); duplicate crashes and events at or
-    from already-crashed processes are ignored. *)
+    stream is a fold, not a sort); duplicate crashes are ignored, and a
+    view at an already-crashed observer only extends its {!transitions}. *)
 
 val finish : t -> horizon:int -> report
 (** Close all open intervals at [horizon] (virtually — the fold state is
-    not mutated) and assemble the report. *)
+    not mutated) and assemble the report.  [horizon] must be no earlier
+    than the last event fed; callers with a later trace skip its tail. *)
 
 val of_events : n:int -> horizon:int -> event list -> report
-(** [create] + [feed] each + [finish]: convenience for tests. *)
+(** [create] + [feed] each event up to [horizon] + [finish]: convenience
+    for tests. *)
+
+(** {2 Reading the fold}
+
+    What [Spec.Fd_props] reads.  Pair and coherence state freeze at the
+    observer's crash; out-of-range pids read as no crash and no views. *)
+
+val crashed_at : t -> int -> int option
+
+val status : t -> observer:int -> subject:int -> (bool * int) option
+(** Whether [observer] suspects [subject] (itself included), and since
+    when; [None] before the observer's first view. *)
+
+val suspicion_onsets : t -> observer:int -> subject:int -> int list
+(** When each suspicion began, newest first. *)
+
+val coherent_since : t -> int -> int option
+(** Start of the current stretch of trusting an unsuspected process. *)
+
+val transitions : t -> int -> (int * int option * int option) list
+(** [(at, previous, trusted)] per change of trusted process, newest
+    first, over all views, also those after the crash.  The oldest is the
+    first view, [(at0, None, trusted0)] even when [trusted0] is [None]. *)

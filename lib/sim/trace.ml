@@ -232,17 +232,6 @@ let proposals t =
          match e.body with Propose { pid; value; _ } -> (pid, value) :: acc | _ -> acc)
        [])
 
-let fd_views ~component t =
-  List.rev
-    (fold t
-       (fun acc e ->
-         match e.body with
-         | Fd_view { at; pid; component = c; suspected; trusted } when String.equal c component
-           ->
-           (at, pid, suspected, trusted) :: acc
-         | _ -> acc)
-       [])
-
 let dump t oc =
   let ppf = Format.formatter_of_out_channel oc in
   iter t (fun e -> Format.fprintf ppf "%a@." pp_event e);

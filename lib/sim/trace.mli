@@ -122,9 +122,6 @@ val decisions : t -> (Pid.t * int * int * Sim_time.t) list
 
 val proposals : t -> (Pid.t * int) list
 
-val fd_views : component:string -> t -> (Sim_time.t * Pid.t * Pid.Set.t * Pid.t option) list
-(** View-change events of one failure-detector component, in order. *)
-
 val dump : t -> out_channel -> unit
 (** Write the whole trace, one pretty-printed event per line — the format
     of {!pp_event} — for offline inspection or diffing two runs. *)

@@ -3,20 +3,24 @@
    adapter streams a finished trace's crash and view-change events into a
    Qos fold via Trace.iter — no materialised event list. *)
 
-let feed trace fold ~component =
+let feed_until trace fold ~component ~horizon =
   Trace.iter trace (fun e ->
       match e.Trace.body with
-      | Trace.Crash { at; pid } -> Obs.Qos.feed fold (Obs.Qos.Crash { at; pid })
+      | Trace.Crash { at; pid } when at <= horizon -> Obs.Qos.feed fold (Obs.Qos.Crash { at; pid })
       | Trace.Fd_view { at; pid; component = c; suspected; trusted }
-        when String.equal c component ->
+        when at <= horizon && String.equal c component ->
         Obs.Qos.feed fold
           (Obs.Qos.View
              { at; observer = pid; suspected = Pid.Set.elements suspected; trusted })
       | _ -> ())
 
+let feed trace fold ~component = feed_until trace fold ~component ~horizon:max_int
+
+(* A trace decoded from an export may run past the requested horizon;
+   its tail must not reach the report. *)
 let report ~component ~n ~horizon trace =
   let fold = Obs.Qos.create ~n in
-  feed trace fold ~component;
+  feed_until trace fold ~component ~horizon;
   Obs.Qos.finish fold ~horizon
 
 let components trace =

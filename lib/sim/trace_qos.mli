@@ -10,7 +10,8 @@ val feed : Trace.t -> Obs.Qos.t -> component:string -> unit
     records one [Fd_view] stream per layer). *)
 
 val report : component:string -> n:int -> horizon:int -> Trace.t -> Obs.Qos.report
-(** [create] + [feed] + [finish]: the whole QoS report of one run. *)
+(** [create] + [feed] + [finish]: the whole QoS report of one run.
+    Events after [horizon] are skipped. *)
 
 val components : Trace.t -> string list
 (** The distinct failure-detector components that recorded view changes,

@@ -7,81 +7,83 @@ type run = {
   trace : Sim.Trace.t;
   component : string;
   n : int;
+  qos : Obs.Qos.t;
 }
 
-let make_run ~component ~n trace = { trace; component; n }
+let make_run ~component ~n trace =
+  let qos = Obs.Qos.create ~n in
+  Sim.Trace_qos.feed trace qos ~component;
+  { trace; component; n; qos }
 
-let crashed_set run = Sim.Pid.set_of_list (List.map fst (Sim.Trace.crashes run.trace))
+let crashed run p = Option.is_some (Obs.Qos.crashed_at run.qos p)
+let correct_processes run = List.filter (fun p -> not (crashed run p)) (Sim.Pid.all ~n:run.n)
+let crashed_processes run = List.filter (crashed run) (Sim.Pid.all ~n:run.n)
 
-let correct_processes run =
-  let crashed = crashed_set run in
-  List.filter (fun p -> not (Sim.Pid.Set.mem p crashed)) (Sim.Pid.all ~n:run.n)
+(* Conjunction of stabilization instants: the latest if all hold, and
+   vacuously 0 for none. *)
+let all results =
+  List.fold_left
+    (fun acc r ->
+      match (acc, r) with
+      | Some a, Some b -> Some (Sim.Sim_time.max a b)
+      | _, None | None, _ -> None)
+    (Some Sim.Sim_time.zero) results
 
-let crashed_processes run = Sim.Pid.Set.elements (crashed_set run)
-
-let timeline run p = Eventually.of_views ~component:run.component run.trace ~pid:p
+(* Disjunction: the earliest that holds. *)
+let any results =
+  List.fold_left
+    (fun acc r ->
+      match (acc, r) with
+      | Some a, Some b -> Some (Sim.Sim_time.min a b)
+      | Some a, None -> Some a
+      | None, other -> other)
+    None results
 
 let report_of_since since = { holds = Option.is_some since; since }
 
-(* "For every correct observer p, [pred q] stabilizes on p's views", for
-   every q in [targets]; conjunction over all pairs. *)
-let for_all_pairs run ~targets pred =
-  let observers = correct_processes run in
-  Eventually.all
-    (List.concat_map
-       (fun p ->
-         let tl = timeline run p in
-         List.map (fun q -> Eventually.stabilization (pred q) tl) targets)
-       observers)
+(* Stabilization instant of "p suspects q" ([~suspected:true]) or of "p
+   does not suspect q", through the end of the run. *)
+let suspicion run ~suspected p q =
+  match Obs.Qos.status run.qos ~observer:p ~subject:q with
+  | Some (now, since) when Bool.equal now suspected -> Some since
+  | Some _ | None -> None
 
-let suspected_in q (v : Fd.Fd_view.t) = Sim.Pid.Set.mem q v.Fd.Fd_view.suspected
+(* Stabilization instant of "p trusts l". *)
+let trusting run p l =
+  match Obs.Qos.transitions run.qos p with
+  | (at, _, Some current) :: _ when Sim.Pid.equal current l -> Some at
+  | _ -> None
+
+let for_all_pairs run ~targets ~suspected =
+  all
+    (List.concat_map
+       (fun p -> List.map (suspicion run ~suspected p) targets)
+       (correct_processes run))
 
 let strong_completeness run =
-  report_of_since (for_all_pairs run ~targets:(crashed_processes run) suspected_in)
+  report_of_since (for_all_pairs run ~targets:(crashed_processes run) ~suspected:true)
 
 let weak_completeness run =
   let observers = correct_processes run in
-  let per_victim q =
-    Eventually.any
-      (List.map (fun p -> Eventually.stabilization (suspected_in q) (timeline run p)) observers)
-  in
-  report_of_since (Eventually.all (List.map per_victim (crashed_processes run)))
+  let per_victim q = any (List.map (fun p -> suspicion run ~suspected:true p q) observers) in
+  report_of_since (all (List.map per_victim (crashed_processes run)))
 
 let eventual_strong_accuracy run =
-  let correct = correct_processes run in
-  report_of_since
-    (for_all_pairs run ~targets:correct (fun q v -> not (suspected_in q v)))
+  report_of_since (for_all_pairs run ~targets:(correct_processes run) ~suspected:false)
 
 let eventual_weak_accuracy run =
   let correct = correct_processes run in
-  let for_leader l =
-    Eventually.all
-      (List.map
-         (fun p -> Eventually.stabilization (fun v -> not (suspected_in l v)) (timeline run p))
-         correct)
-  in
-  report_of_since (Eventually.any (List.map for_leader correct))
+  let for_leader l = all (List.map (fun p -> suspicion run ~suspected:false p l) correct) in
+  report_of_since (any (List.map for_leader correct))
 
 let leadership run =
   let correct = correct_processes run in
-  let trusts l (v : Fd.Fd_view.t) = Option.equal Sim.Pid.equal v.Fd.Fd_view.trusted (Some l) in
-  let for_leader l =
-    Eventually.all
-      (List.map (fun p -> Eventually.stabilization (trusts l) (timeline run p)) correct)
-  in
-  report_of_since (Eventually.any (List.map for_leader correct))
+  let for_leader l = all (List.map (fun p -> trusting run p l) correct) in
+  report_of_since (any (List.map for_leader correct))
 
 let trusted_not_suspected run =
-  let coherent (v : Fd.Fd_view.t) =
-    match v.Fd.Fd_view.trusted with
-    | None -> false
-    | Some l -> not (Sim.Pid.Set.mem l v.Fd.Fd_view.suspected)
-  in
   report_of_since
-    (Eventually.all
-       (List.map
-          (fun p -> Eventually.stabilization coherent (timeline run p))
-          (correct_processes run)))
+    (all (List.map (Obs.Qos.coherent_since run.qos) (correct_processes run)))
 
 let check property run =
   match (property : Fd.Classes.property) with
@@ -99,60 +101,32 @@ let class_matrix run = List.map (fun p -> (p, check p run)) Fd.Classes.all_prope
 
 let eventual_leader run =
   let correct = correct_processes run in
-  let trusts l (v : Fd.Fd_view.t) = Option.equal Sim.Pid.equal v.Fd.Fd_view.trusted (Some l) in
   List.find_opt
-    (fun l ->
-      List.for_all
-        (fun p -> Eventually.holds_eventually (trusts l) (timeline run p))
-        correct)
+    (fun l -> List.for_all (fun p -> Option.is_some (trusting run p l)) correct)
     correct
 
-let detection_time run ~victim =
-  for_all_pairs run ~targets:[ victim ] suspected_in
+let detection_time run ~victim = for_all_pairs run ~targets:[ victim ] ~suspected:true
 
-let trusted_transitions run p =
-  (* [(time, previous trusted, new trusted)] for every switch. *)
-  let rec walk prev acc = function
-    | [] -> List.rev acc
-    | (at, (v : Fd.Fd_view.t)) :: rest ->
-      let cur = v.Fd.Fd_view.trusted in
-      if Option.equal Sim.Pid.equal cur prev then walk prev acc rest
-      else walk cur ((at, prev, cur) :: acc) rest
-  in
-  match timeline run p with
-  | [] -> []
-  | (at0, v0) :: rest -> walk v0.Fd.Fd_view.trusted [ (at0, None, v0.Fd.Fd_view.trusted) ] rest
-
-let leader_changes run p = Stdlib.max 0 (List.length (trusted_transitions run p) - 1)
+let leader_changes run p = Stdlib.max 0 (List.length (Obs.Qos.transitions run.qos p) - 1)
 
 let leader_changes_after run p ~after =
-  List.length (List.filter (fun (at, _, _) -> at > after) (trusted_transitions run p))
+  List.length (List.filter (fun (at, _, _) -> at > after) (Obs.Qos.transitions run.qos p))
 
 let false_suspicion_events_after run ~after =
-  (* Transitions, at correct observers, where a correct process becomes
-     newly suspected strictly after [after]. *)
   let correct = correct_processes run in
-  let count_observer p =
-    let rec walk prev acc = function
-      | [] -> acc
-      | (at, (v : Fd.Fd_view.t)) :: rest ->
-        let fresh = Sim.Pid.Set.diff v.Fd.Fd_view.suspected prev in
-        let wrong =
-          Sim.Pid.Set.cardinal (Sim.Pid.Set.filter (fun q -> List.mem q correct) fresh)
-        in
-        walk v.Fd.Fd_view.suspected (if at > after then acc + wrong else acc) rest
-    in
-    walk Sim.Pid.Set.empty 0 (timeline run p)
+  let fresh p q =
+    List.length
+      (List.filter (fun at -> at > after) (Obs.Qos.suspicion_onsets run.qos ~observer:p ~subject:q))
   in
-  List.fold_left (fun acc p -> acc + count_observer p) 0 correct
+  List.fold_left
+    (fun acc p -> List.fold_left (fun acc q -> acc + fresh p q) acc correct)
+    0 correct
 
 let demotions_of_live_leaders run p =
-  let crash_times = Sim.Trace.crashes run.trace in
   let alive_at q at =
-    not (List.exists (fun (victim, t) -> Sim.Pid.equal victim q && t <= at) crash_times)
+    match Obs.Qos.crashed_at run.qos q with Some crash -> crash > at | None -> true
   in
   List.length
     (List.filter
-       (fun (at, prev, _) ->
-         match prev with Some q -> alive_at q at | None -> false)
-       (trusted_transitions run p))
+       (fun (at, prev, _) -> match prev with Some q -> alive_at q at | None -> false)
+       (Obs.Qos.transitions run.qos p))

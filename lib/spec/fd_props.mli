@@ -2,11 +2,18 @@
     Property 1 and ◇C's coherence clause), evaluated over a finished run's
     trace.
 
-    Correct processes are those that never crash in the trace; a property
-    holds if its finite-trace approximation (see {!Eventually}) does.  Each
-    checker reports the stabilization instant, so experiments can also
-    compare {i convergence times} (e.g. the ring's detection latency,
-    experiment E3). *)
+    Correct processes are those that never crash in the trace.  Every
+    property has the shape "there is a time after which X holds forever";
+    on a finite run it holds if X holds from some instant through the end
+    of the trace (DESIGN.md §4), and the checker reports the earliest such
+    instant — its stabilization — so experiments can also compare
+    {i convergence times} (e.g. the ring's detection latency, experiment
+    E3).  An X that held throughout is dated from the observer's first
+    recorded view, not from 0.
+
+    [make_run] streams the trace once into an {!Obs.Qos} fold, the one
+    that also computes the QoS rollups; every checker below is a reading
+    of that fold, with no further trace scan. *)
 
 type report = {
   holds : bool;
@@ -17,9 +24,12 @@ type run = {
   trace : Sim.Trace.t;
   component : string;  (** The detector's component name. *)
   n : int;
+  qos : Obs.Qos.t;  (** [component]'s views and every crash, folded once. *)
 }
 
 val make_run : component:string -> n:int -> Sim.Trace.t -> run
+(** Fold the whole trace once ([n >= 1]).  Events recorded into the
+    trace afterwards are not seen by the checkers. *)
 
 val correct_processes : run -> Sim.Pid.t list
 val crashed_processes : run -> Sim.Pid.t list

@@ -8,7 +8,7 @@ let pid_char q =
 (* Sample a piecewise-constant timeline over [width] slices of [horizon]:
    the cell shows the (single) value holding through the slice, or [mixed]
    if it changed inside it. *)
-let sample_slices ~width ~horizon ~equal ~(timeline : 'a Eventually.timeline) ~render ~mixed =
+let sample_slices ~width ~horizon ~equal ~(timeline : (Sim.Sim_time.t * 'a) list) ~render ~mixed =
   let slice = Stdlib.max 1 (horizon / width) in
   let cells = Bytes.make width ' ' in
   let rec fill col current rest =
@@ -44,19 +44,27 @@ let mark_crash ~width ~horizon row crash_at =
     let col = Stdlib.min (width - 1) (at / slice) in
     String.mapi (fun i c -> if i > col then 'x' else if i = col then 'X' else c) row
 
+(* Every process's recorded views, in order, from one pass over the trace. *)
+let views_by_pid run =
+  let rows = Array.make run.Fd_props.n [] in
+  Sim.Trace.iter run.Fd_props.trace (fun e ->
+      match e.Sim.Trace.body with
+      | Sim.Trace.Fd_view { at; pid; component; suspected; trusted }
+        when pid >= 0 && pid < run.Fd_props.n && String.equal component run.Fd_props.component ->
+        rows.(pid) <- (at, { Fd.Fd_view.suspected; trusted }) :: rows.(pid)
+      | _ -> ());
+  Array.map List.rev rows
+
 let render_rows ~width run ~horizon ~cell =
-  let crashes = Sim.Trace.crashes run.Fd_props.trace in
+  let views = views_by_pid run in
   let buffer = Buffer.create 1024 in
   List.iter
     (fun p ->
-      let tl =
-        Eventually.of_views ~component:run.Fd_props.component run.Fd_props.trace ~pid:p
-      in
       let row =
-        sample_slices ~width ~horizon ~equal:Fd.Fd_view.equal ~timeline:tl ~render:(cell p)
+        sample_slices ~width ~horizon ~equal:Fd.Fd_view.equal ~timeline:views.(p) ~render:(cell p)
           ~mixed:'?'
       in
-      let crash_at = List.assoc_opt p crashes in
+      let crash_at = Obs.Qos.crashed_at run.Fd_props.qos p in
       Buffer.add_string buffer
         (Printf.sprintf "%4s |%s|\n" (Sim.Pid.to_string p)
            (mark_crash ~width ~horizon row crash_at)))
@@ -82,38 +90,33 @@ let render_suspicions ?(width = default_width) run ~horizon =
   render_rows ~width run ~horizon ~cell
 
 let render_decisions ?(width = default_width) trace ~n ~horizon =
-  let crashes = Sim.Trace.crashes trace in
-  let decisions = Sim.Trace.decisions trace in
+  (* First proposal, decision and crash of every process, in one pass. *)
+  let proposed = Array.make n None and decided = Array.make n None in
+  let crashed = Array.make n None in
+  let first instants pid at =
+    if pid >= 0 && pid < n && Option.is_none instants.(pid) then instants.(pid) <- Some at
+  in
+  Sim.Trace.iter trace (fun e ->
+      match e.Sim.Trace.body with
+      | Sim.Trace.Propose { at; pid; _ } -> first proposed pid at
+      | Sim.Trace.Decide { at; pid; _ } -> first decided pid at
+      | Sim.Trace.Crash { at; pid } -> first crashed pid at
+      | _ -> ());
   let slice = Stdlib.max 1 (horizon / width) in
   let buffer = Buffer.create 1024 in
   List.iter
     (fun p ->
-      let proposed_at =
-        Seq.find_map
-          (fun (e : Sim.Trace.event) ->
-            match e.body with
-            | Sim.Trace.Propose { at; pid; _ } when Sim.Pid.equal pid p -> Some at
-            | _ -> None)
-          (Sim.Trace.to_seq trace)
-      in
-      let decided_at =
-        List.find_map
-          (fun (pid, _, _, at) -> if Sim.Pid.equal pid p then Some at else None)
-          decisions
-      in
       let row =
         String.init width (fun col ->
             let t = col * slice in
-            match (proposed_at, decided_at) with
+            match (proposed.(p), decided.(p)) with
             | _, Some d when t >= d -> 'D'
             | Some pr, _ when t >= pr -> 'p'
             | _ -> '.')
       in
-      let crash_at = List.assoc_opt p crashes in
       Buffer.add_string buffer
         (Printf.sprintf "%4s |%s|\n" (Sim.Pid.to_string p)
-           (mark_crash ~width ~horizon row crash_at))
-    )
+           (mark_crash ~width ~horizon row crashed.(p))))
     (Sim.Pid.all ~n);
   Buffer.add_string buffer
     (Printf.sprintf "     0%*s\n" (width - 1) (Printf.sprintf "t=%d" horizon));

@@ -34,8 +34,12 @@ let handle_tests =
         Alcotest.(check int) "one notification" 1 !calls;
         Alcotest.(check bool) "query" true (Fd.Fd_view.equal (Fd.Fd_handle.query h 0) v);
         (* creation records one view per process, plus the change *)
-        Alcotest.(check int) "trace events" 3
-          (List.length (Sim.Trace.fd_views ~component:"x" (Sim.Engine.trace e))));
+        let views = ref 0 in
+        Sim.Trace.iter (Sim.Engine.trace e) (fun ev ->
+            match ev.Sim.Trace.body with
+            | Sim.Trace.Fd_view { component = "x"; _ } -> incr views
+            | _ -> ());
+        Alcotest.(check int) "trace events" 3 !views);
     tc "update composes with the current view" (fun () ->
         let e = Sim.Engine.create ~n:2 ~link:(Sim.Link.synchronous ~delay:1) () in
         let h = Fd.Fd_handle.make e ~component:"x" in
@@ -464,9 +468,16 @@ let oracle_scripted_tests =
         in
         Test_util.check_class "oracle" Fd.Classes.P_eventual run;
         (* Strong accuracy holds from the very start: no premature suspicion. *)
-        let tl = Spec.Eventually.of_views ~component:(Fd.Fd_handle.component p) (Sim.Engine.trace e) ~pid:0 in
-        Alcotest.(check bool) "never suspects correct p4" true
-          (List.for_all (fun (_, v) -> not (Fd.Fd_view.suspects v 3)) tl));
+        let qos =
+          Sim.Trace_qos.report ~component:(Fd.Fd_handle.component p) ~n:4 ~horizon:2000
+            (Sim.Engine.trace e)
+        in
+        let p1_of_p4 =
+          List.find
+            (fun (pr : Obs.Qos.pair) -> pr.observer = 0 && pr.subject = 3)
+            qos.Obs.Qos.pairs
+        in
+        Alcotest.(check int) "never suspects correct p4" 0 p1_of_p4.mistakes);
     tc "scripted applies steps at their instants" (fun () ->
         let e = Scenario.engine ~n:3 () in
         let v1 = Fd.Fd_view.make ~trusted:2 ~suspected:(Sim.Pid.set_of_list [ 1 ]) () in

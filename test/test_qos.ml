@@ -23,6 +23,21 @@ let view ~at ~observer ?(suspected = []) ?trusted () =
 
 let fold_tests =
   [
+    tc "events after the horizon are not counted" (fun () ->
+        let r =
+          Obs.Qos.of_events ~n:2 ~horizon:5
+            [
+              Obs.Qos.Crash { at = 1; pid = 1 };
+              view ~at:8 ~observer:0 ~suspected:[ 1 ] ~trusted:0 ();
+            ]
+        in
+        let p = pair_of r ~observer:0 ~subject:1 in
+        Alcotest.(check (option int)) "no detection" None p.detection_time;
+        Alcotest.(check (option int)) "no steady leader" None (leader_of r ~observer:0).l_steady_at;
+        let r = Obs.Qos.of_events ~n:2 ~horizon:5 [ view ~at:8 ~observer:0 ~suspected:[ 1 ] () ] in
+        let p = pair_of r ~observer:0 ~subject:1 in
+        Alcotest.(check int) "no mistake" 0 p.mistakes;
+        Alcotest.(check int) "no mistake time" 0 p.mistake_time);
     tc "empty run: full windows, no mistakes, nothing detected" (fun () ->
         let r = Obs.Qos.of_events ~n:2 ~horizon:100 [] in
         Alcotest.(check int) "all ordered pairs" 2 (List.length r.Obs.Qos.pairs);
@@ -196,6 +211,16 @@ let golden_rollup_tests =
           (read_file "golden/TRACE_e4.rollup.json")
           (Tracequery_core.Query.rollup
              (Tracequery_core.Trace_file.load "golden/TRACE_e4.jsonl")));
+    tc "a mid-run horizon ignores the trace's tail" (fun () ->
+        let events = Tracequery_core.Trace_file.load "golden/TRACE_e4.jsonl" in
+        List.iter
+          (fun horizon ->
+            Alcotest.(check string)
+              (Printf.sprintf "horizon %d" horizon)
+              (Tracequery_core.Query.rollup ~n:4 ~horizon
+                 (Tracequery_core.Query.filter ~to_t:horizon events))
+              (Tracequery_core.Query.rollup ~n:4 ~horizon events))
+          [ 120; 250; 400 ]);
     tc "the golden rollup sees both crashes" (fun () ->
         let json = read_file "golden/TRACE_e4.rollup.json" in
         let j = Json_min.parse json in

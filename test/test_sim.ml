@@ -1040,9 +1040,14 @@ let trace_tests =
         Alcotest.(check (list (pair int int))) "crashes" [ (1, 3) ] (Sim.Trace.crashes t);
         Alcotest.(check (list (pair int int))) "proposals" [ (0, 7) ] (Sim.Trace.proposals t);
         Alcotest.(check int) "decisions" 1 (List.length (Sim.Trace.decisions t));
-        Alcotest.(check int) "fd views" 1 (List.length (Sim.Trace.fd_views ~component:"x" t));
-        Alcotest.(check int) "fd views other comp" 0
-          (List.length (Sim.Trace.fd_views ~component:"y" t)));
+        Alcotest.(check (list string)) "fd view components" [ "x" ] (Sim.Trace_qos.components t);
+        let views component =
+          let fold = Obs.Qos.create ~n:2 in
+          Sim.Trace_qos.feed t fold ~component;
+          List.length (Obs.Qos.transitions fold 0)
+        in
+        Alcotest.(check int) "fd views" 1 (views "x");
+        Alcotest.(check int) "fd views other comp" 0 (views "y"));
     tc "a sparse message id is stamped like a dense one" (fun () ->
         let stamps msg =
           let t = Sim.Trace.create () in
