@@ -84,12 +84,14 @@ let load_trace_or_die ~cmd path =
 
 (* Write [text] to [out] (stdout when [None]); [on_file] runs after a file
    was written, for the subcommand's confirmation line. *)
-let write_output ?(on_file = ignore) out text =
+let write_with ?(on_file = ignore) out write =
   match out with
-  | None -> print_string text
+  | None -> write stdout
   | Some file ->
-    Out_channel.with_open_bin file (fun oc -> output_string oc text);
+    Out_channel.with_open_bin file write;
     on_file file
+
+let write_output ?on_file out text = write_with ?on_file out (fun oc -> output_string oc text)
 
 (* One table per choice: the CLI name and the scenario value it selects.
    [Ec_from_perfect]'s crash schedule is only known once the run's
@@ -296,12 +298,13 @@ let trace_cmd =
       Scenario.run_consensus ~net:(net ~seed ~gst ~delta) ~crashes:schedule ~horizon ~n ~detector
         ~protocol ()
     in
-    let rendered =
-      match format with
-      | `Chrome -> Sim.Trace_export.chrome_string r.Scenario.trace
-      | `Jsonl -> Sim.Trace_export.jsonl_string r.Scenario.trace
-    in
-    write_output out rendered ~on_file:(fun file ->
+    (* Rendered into a buffer that is written out as is: a large export is
+       held once, not once more as a string. *)
+    let buf = Buffer.create 65536 in
+    (match format with
+    | `Chrome -> Sim.Trace_export.chrome buf r.Scenario.trace
+    | `Jsonl -> Sim.Trace_export.jsonl buf r.Scenario.trace);
+    write_with out (fun oc -> Buffer.output_buffer oc buf) ~on_file:(fun file ->
         Format.eprintf "trace written to %s (%d events)@." file (Sim.Trace.length r.Scenario.trace))
   in
   let doc =
@@ -363,17 +366,22 @@ let qos_cmd =
 
 let file_arg ~n ~doc = Arg.(required & pos n (some file) None & info [] ~docv:"FILE" ~doc)
 
-let print_jsonl e =
-  let buf = Buffer.create 128 in
-  Sim.Trace_export.jsonl_event buf e;
-  print_string (Buffer.contents buf)
+let print_jsonl events =
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun e ->
+      Buffer.clear buf;
+      Sim.Trace_export.jsonl_event buf e;
+      Buffer.output_buffer stdout buf)
+    events
 
 let filter_cmd =
   let run path component pid from_t to_t pretty =
-    List.iter
-      (if pretty then print_event "" else print_jsonl)
-      (Tracequery_core.Query.filter ?component ?pid ?from_t ?to_t
-         (load_trace_or_die ~cmd:"filter" path))
+    let events =
+      Tracequery_core.Query.filter ?component ?pid ?from_t ?to_t
+        (load_trace_or_die ~cmd:"filter" path)
+    in
+    if pretty then List.iter (print_event "") events else print_jsonl events
   in
   let doc = "Select events of a JSONL trace export by component, process, and time window." in
   Cmd.v
@@ -413,7 +421,7 @@ let ancestry_cmd =
         | None -> die ~cmd:"ancestry" "no decide event in %s" path)
     in
     let cone = Tracequery_core.Query.ancestry events ~seq:target.Sim.Trace.seq in
-    if jsonl then List.iter print_jsonl cone
+    if jsonl then print_jsonl cone
     else begin
       Format.printf "happens-before cone of %a (%d of %d events):@." Sim.Trace.pp_event target
         (List.length cone) (List.length events);

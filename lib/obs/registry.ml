@@ -245,41 +245,24 @@ let json_int_list l = "[" ^ String.concat "," (List.map string_of_int l) ^ "]"
 (* Metric names are code literals (lint R6), so they never need escaping —
    but escape anyway: a JSON emitter that can produce invalid JSON is a
    latent bug. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_of_snapshot snap =
   let buf = Buffer.create 512 in
   Buffer.add_string buf "{\"metrics\":[";
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      (match v with
+      match v with
       | Counter c ->
-        Buffer.add_string buf
-          (Printf.sprintf "{\"name\":\"%s\",\"kind\":\"counter\",\"value\":%d}" (json_escape name)
-             c)
+        Printf.bprintf buf "{\"name\":\"%a\",\"kind\":\"counter\",\"value\":%d}"
+          Json_buf.add_escaped name c
       | Gauge g ->
-        Buffer.add_string buf
-          (Printf.sprintf "{\"name\":\"%s\",\"kind\":\"gauge\",\"value\":%d}" (json_escape name) g)
+        Printf.bprintf buf "{\"name\":\"%a\",\"kind\":\"gauge\",\"value\":%d}"
+          Json_buf.add_escaped name g
       | Histogram { buckets; counts; count; sum; max_value; p50; p99; p999 } ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"name\":\"%s\",\"kind\":\"histogram\",\"buckets\":%s,\"counts\":%s,\"count\":%d,\"sum\":%d,\"max\":%d,\"p50\":%d,\"p99\":%d,\"p999\":%d}"
-             (json_escape name) (json_int_list buckets) (json_int_list counts) count sum
-             max_value p50 p99 p999)))
+        Printf.bprintf buf
+          "{\"name\":\"%a\",\"kind\":\"histogram\",\"buckets\":%s,\"counts\":%s,\"count\":%d,\"sum\":%d,\"max\":%d,\"p50\":%d,\"p99\":%d,\"p999\":%d}"
+          Json_buf.add_escaped name (json_int_list buckets) (json_int_list counts) count sum
+          max_value p50 p99 p999)
     snap;
   Buffer.add_string buf "]}";
   Buffer.contents buf

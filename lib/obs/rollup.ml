@@ -128,29 +128,14 @@ let aggregate (r : Qos.report) =
 
 type scenario = { name : string; component : string; report : Qos.report }
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let opt_int = function None -> "null" | Some v -> string_of_int v
 let opt_float = function None -> "null" | Some v -> Printf.sprintf "%.6f" v
 
 let add_scenario buf { name; component; report } =
   let a = aggregate report in
   Printf.bprintf buf
-    "    {\n      \"name\": \"%s\",\n      \"component\": \"%s\",\n      \"n\": %d,\n      \"horizon\": %d,\n"
-    (json_escape name) (json_escape component) report.Qos.n report.Qos.horizon;
+    "    {\n      \"name\": \"%a\",\n      \"component\": \"%a\",\n      \"n\": %d,\n      \"horizon\": %d,\n"
+    Json_buf.add_escaped name Json_buf.add_escaped component report.Qos.n report.Qos.horizon;
   Printf.bprintf buf
     "      \"detection\": { \"crashed_pairs\": %d, \"detected\": %d, \"undetected\": %d, \"mean_ticks\": %s, \"max_ticks\": %d },\n"
     a.a_crashed a.a_detected a.a_undetected (opt_float a.a_detection_mean) a.a_detection_max;

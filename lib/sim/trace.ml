@@ -160,17 +160,32 @@ let time_of = function
   | Span_begin { at; _ }
   | Span_end { at; _ } -> at
 
-let pid_of = function
-  | Send { src; _ } -> Some src
-  | Deliver { dst; _ } -> Some dst
-  | Drop _ -> None
+(* [pid_of] of a body that is not a [Drop], without the option, so a
+   walk over every event allocates nothing. *)
+let pid_at = function
+  | Send { src; _ } -> src
+  | Deliver { dst; _ } -> dst
+  | Drop { src; _ } -> src
   | Crash { pid; _ }
   | Fd_view { pid; _ }
   | Propose { pid; _ }
   | Decide { pid; _ }
   | Note { pid; _ }
   | Span_begin { pid; _ }
-  | Span_end { pid; _ } -> Some pid
+  | Span_end { pid; _ } -> pid
+
+let pid_of = function Drop _ -> None | body -> Some (pid_at body)
+
+let max_pid t =
+  let hi = ref (-1) in
+  for i = 0 to t.count - 1 do
+    match t.arr.(i).body with
+    | Drop _ -> ()
+    | body ->
+      let p = pid_at body in
+      if p > !hi then hi := p
+  done;
+  !hi
 
 let pp_trusted ppf = function
   | None -> Format.fprintf ppf "-"

@@ -110,6 +110,10 @@ val pid_of : body -> Pid.t option
     [Deliver], [pid] otherwise; [None] for [Drop] (a drop happens on the
     link, at no process). *)
 
+val max_pid : t -> Pid.t
+(** The highest [pid_of] over the trace's events; [-1] when none has
+    one. *)
+
 val pp_body : Format.formatter -> body -> unit
 val pp_event : Format.formatter -> event -> unit
 (** [pp_body] prefixed with the [#seq @lc] stamp. *)

@@ -233,6 +233,29 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* The double-crash heartbeat run behind golden/TRACE_e4.jsonl (see
+   test_qos.ml for the command that writes it), run in-process: unlike
+   golden_trace it has crashes, drops and a detector's views. *)
+let e4_trace () =
+  let r =
+    Scenario.run_consensus
+      ~net:{ (Scenario.chaotic_net ~seed:4 ~gst:100 ()) with delta = 8 }
+      ~crashes:(Sim.Fault.crashes [ (1, 150); (3, 320) ])
+      ~horizon:500 ~n:4 ~detector:Scenario.Heartbeat_p
+      ~protocol:(Scenario.Ec Ecfd.Ec_consensus.default_params) ()
+  in
+  r.Scenario.trace
+
+(* Minor words one export of [trace] allocates per record, into a buffer
+   already large enough for all of it. *)
+let export_words_per_record export trace ~bytes =
+  let buf = Buffer.create bytes in
+  let w0 = Gc.minor_words () in
+  export buf trace;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "the buffer was large enough" bytes (Buffer.length buf);
+  words /. float_of_int (Sim.Trace.length trace)
+
 let golden_tests =
   [
     tc "JSONL export matches the golden file byte-for-byte" (fun () ->
@@ -251,6 +274,30 @@ let golden_tests =
         List.iteri
           (fun i (e : Sim.Trace.event) -> Alcotest.(check int) "seq is dense" i e.seq)
           events);
+    tc "JSONL export of the e4 crash run matches golden/TRACE_e4.jsonl" (fun () ->
+        Alcotest.(check string)
+          "golden/TRACE_e4.jsonl" (read_file "golden/TRACE_e4.jsonl")
+          (Sim.Trace_export.jsonl_string (e4_trace ())));
+    tc "Chrome export of the e4 crash run matches golden/TRACE_e4.chrome.json" (fun () ->
+        Alcotest.(check string)
+          "golden/TRACE_e4.chrome.json"
+          (read_file "golden/TRACE_e4.chrome.json")
+          (Sim.Trace_export.chrome_string (e4_trace ())));
+    tc "exporting the e4 crash run allocates at most 1 minor word per record" (fun () ->
+        let trace = e4_trace () in
+        List.iter
+          (fun (what, export, golden) ->
+            let per_record =
+              export_words_per_record export trace
+                ~bytes:(String.length (read_file golden))
+            in
+            Printf.printf "%s: %.3f minor words per record\n" what per_record;
+            if per_record > 1.0 then
+              Alcotest.failf "%s: %.3f minor words per record" what per_record)
+          [
+            ("jsonl", Sim.Trace_export.jsonl, "golden/TRACE_e4.jsonl");
+            ("chrome", Sim.Trace_export.chrome, "golden/TRACE_e4.chrome.json");
+          ]);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -191,11 +191,14 @@ let rollup_tests =
 (* ------------------------------------------------------------------ *)
 
 (* test/golden/TRACE_e4.jsonl is a double-crash heartbeat run in the
-   shape of bench e22's e4 scenario — regenerate both files with
+   shape of bench e22's e4 scenario — regenerate the three files with
      ecfd trace -d heartbeat-p -p ec -n 4 --seed 4 --gst 100 --delta 8 \
        --crash 1@150 --crash 3@320 --horizon 500 -f jsonl -o TRACE_e4.jsonl
+     (the same with -f chrome -o TRACE_e4.chrome.json)
      ecfd rollup TRACE_e4.jsonl > TRACE_e4.rollup.json
-   after any intentional trace or rollup change, and review the diff. *)
+   after any intentional trace, export or rollup change, and review the
+   diff.  test_obs.ml re-runs the trace command in-process and compares
+   both exports with these files. *)
 
 let read_file path =
   let ic = open_in_bin path in
